@@ -16,6 +16,8 @@ from . import constructions, depth, lincw, sc_model, solver, tree_model
 from .errors import ShrubError, ValidationError
 from .graph import graph_from_text, graph_to_text, neighbourhood_diversity
 from .mso import (
+    DEFAULT_SET_QUANTIFIER_CAP,
+    DEFAULT_VERTEX_CAP,
     Interpretation,
     Transduction,
     apply_interpretation,
@@ -32,8 +34,8 @@ _CAP_NAMES = {
     "sc": solver.DEFAULT_SC_CAP,
     "td": depth.DEFAULT_TD_CAP,
     "path-model": constructions.DEFAULT_PATH_MODEL_CAP,
-    "mso-vertices": 12,
-    "mso-set-quantifiers": 3,
+    "mso-vertices": DEFAULT_VERTEX_CAP,
+    "mso-set-quantifiers": DEFAULT_SET_QUANTIFIER_CAP,
 }
 
 
@@ -147,14 +149,12 @@ def _build_parser():
     p.add_argument("--graph", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--out", help="witness model file")
     p = solve_sub.add_parser("tmc")
     p.add_argument("--graph", required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--out")
     p = solve_sub.add_parser("sc")
     p.add_argument("--graph", required=True)
@@ -169,7 +169,6 @@ def _build_parser():
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--out")
 
     ver = sub.add_parser("verify", help="check a certificate against a graph")
@@ -302,7 +301,7 @@ def _cmd_solve(args, caps, structured):
         return 0
     if args.what == "obstructions":
         found = solver.minimal_obstructions(
-            args.d, args.m, args.max_n, cap=caps["tm"], jobs=args.jobs
+            args.d, args.m, args.max_n, cap=caps["tm"]
         )
         blocks = [graph_to_text(g) for g in found]
         _verdict(f"OBSTRUCTIONS {len(found)}", structured, graphs=blocks)
@@ -311,9 +310,7 @@ def _cmd_solve(args, caps, structured):
         return 0
     g = graph_from_text(_read(args.graph))
     if args.what == "tm":
-        witness = solver.tm_membership(
-            g, args.d, args.m, cap=caps["tm"], jobs=args.jobs
-        )
+        witness = solver.tm_membership(g, args.d, args.m, cap=caps["tm"])
         if witness is None:
             _verdict(f"NO (verified for all depths <= {args.d})", structured)
             return 1
@@ -321,9 +318,7 @@ def _cmd_solve(args, caps, structured):
         _emit(tree_model.model_to_text(witness), args.out)
         return 0
     if args.what == "tmc":
-        copied = solver.tmc_membership(
-            g, args.d, args.m, args.k, cap=caps["tm"], jobs=args.jobs
-        )
+        copied = solver.tmc_membership(g, args.d, args.m, args.k, cap=caps["tm"])
         if copied is None:
             _verdict("NO", structured)
             return 1
@@ -446,6 +441,13 @@ def main(argv=None):
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # exit 1 means NO, so a crash must not fall through to it
+        import traceback  # only a crash pays for this import
+
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return 2
 
 

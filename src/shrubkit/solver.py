@@ -1,14 +1,18 @@
 """Exact membership tests for bounded-depth model classes, at desk scale.
 
-Tree shapes of a fixed depth are enumerated as chains of nested partitions
-of the vertex set, one partition per internal level; colorings are searched
-incrementally with first-occurrence symmetry breaking, failing as soon as
-two vertex pairs force one (color, color, level) class both ways.
+Tree shapes of a fixed depth are chains of nested partitions of the vertex
+set, one partition per internal level.  The tree-model solvers walk these
+chains depth first, one block partition at a time, over a single meet-level
+matrix in which a pair stays open (None) until some partition fixes it.
+After each choice the coloring search runs on the fixed pairs alone: it
+colors vertices with first-occurrence symmetry breaking and fails as soon as
+two pairs force one (color, color, level) class both ways.  Any completion
+of the chain only adds pairs, so a failure prunes every completion, and the
+first complete chain admitting a coloring is the first one an unpruned
+enumeration would find.
 """
 
 from __future__ import annotations
-
-import multiprocessing
 
 from .errors import DomainError, ResourceLimitError
 from .graph import Graph, canonical_form, complement_on_subset, components, induced_subgraph, relabel_graph
@@ -18,7 +22,6 @@ from .tree_model import CopiedTreeModel, TreeModel
 
 DEFAULT_TM_CAP = 10
 DEFAULT_SC_CAP = 9
-_CHUNK = 64
 
 
 def _iter_partitions(verts, max_block=None):
@@ -47,45 +50,11 @@ def _iter_partitions(verts, max_block=None):
     yield from extend([[first]], rest)
 
 
-def _iter_chains(verts, levels, last_max_block):
-    """Chains of nested partitions, coarsest first, of the given length."""
-    if levels == 0:
-        yield []
-        return
-    cap = last_max_block if levels == 1 else None
-    for blocks in _iter_partitions(verts, cap):
-        for subchains in _product_chains(blocks, levels - 1, last_max_block):
-            merged = [
-                [blk for sub in subchains for blk in sub[k]]
-                for k in range(levels - 1)
-            ]
-            yield [blocks] + merged
-
-
-def _product_chains(blocks, levels, last_max_block):
-    if not blocks:
-        yield []
-        return
-    for head in _iter_chains(blocks[0], levels, last_max_block):
-        for tail in _product_chains(blocks[1:], levels, last_max_block):
-            yield [head] + tail
-
-
-def _meet_matrix(n, chain):
-    meet = [[0] * n for _ in range(n)]
-    for k, partition in enumerate(chain, start=1):
-        for block in partition:
-            for a in range(len(block)):
-                for b in range(a + 1, len(block)):
-                    u, v = block[a], block[b]
-                    meet[u][v] = meet[v][u] = k
-    return meet
-
-
 def _search_coloring(g, m, depth, meet):
     """First-occurrence-canonical coloring consistent with some signature.
 
-    Returns (colors, signature) or None.  A tri-state class map grows as
+    Returns (colors, signature) or None.  Pairs whose meet level is None
+    are open and constrain nothing.  A tri-state class map grows as
     vertices are colored and rolls back on backtrack.
     """
     n = g.n
@@ -99,9 +68,11 @@ def _search_coloring(g, m, depth, meet):
             added = []
             ok = True
             for s in range(t):
-                lvl = depth - meet[s][t]
+                level = meet[s][t]
+                if level is None:
+                    continue
                 a, b = colors[s], c
-                key = (min(a, b), max(a, b), lvl)
+                key = (min(a, b), max(a, b), depth - level)
                 want = g.has_edge(s, t)
                 if key in classes:
                     if classes[key] != want:
@@ -165,48 +136,71 @@ def _build_witness(g, depth, m, chain, colors, signature):
     )
 
 
-def _chain_batch(args):
-    g, m, depth, chains = args
-    for chain in chains:
-        found = _search_coloring(g, m, depth, _meet_matrix(g.n, chain))
-        if found is not None:
+def _first_hit(g, m, depth, levels, last_max_block):
+    """First chain, in nested-partition enumeration order, admitting a
+    coloring: (chain, colors, signature) or None.
+
+    Blocks are partitioned in the order they appear in the finished chain's
+    tree, so a block's own sub-chain is completed before its next sibling's.
+    A partition of a block at level k fixes the pairs it splits at k - 1,
+    and on the last level also the pairs it keeps together.
+    """
+    n = g.n
+    meet = [[None if levels else 0] * n for _ in range(n)]
+    chain = [[] for _ in range(levels)]
+    pending = [(tuple(range(n)), 1)] if levels else []
+    part_of = [0] * n
+
+    def fix(block, parts, k):
+        # blocks are sorted, so only meet[u][v] with u < v is written, the
+        # half the coloring search reads
+        together = k if k == levels else None
+        for i, part in enumerate(parts):
+            for v in part:
+                part_of[v] = i
+        for i, u in enumerate(block):
+            row, home = meet[u], part_of[u]
+            for v in block[i + 1:]:
+                row[v] = together if part_of[v] == home else k - 1
+
+    def walk(found):
+        if not pending:
             return chain, found[0], found[1]
-    return None
-
-
-def _first_hit(g, m, depth, chain_iter, jobs):
-    """First chain admitting a coloring, in enumeration order."""
-    if jobs <= 1:
-        for chain in chain_iter:
-            found = _search_coloring(g, m, depth, _meet_matrix(g.n, chain))
-            if found is not None:
-                return chain, found[0], found[1]
+        block, k = pending.pop()
+        last = k == levels
+        for parts in _iter_partitions(block, last_max_block if last else None):
+            fix(block, parts, k)
+            if len(parts) > 1 or (last and len(block) > 1):
+                sub = _search_coloring(g, m, depth, meet)
+            else:
+                sub = found  # no pair fixed: the prefix's coloring stands
+            if sub is not None:
+                chain[k - 1].extend(parts)
+                if not last:
+                    pending.extend((part, k + 1) for part in reversed(parts))
+                hit = walk(sub)
+                if hit is not None:
+                    return hit
+                if not last:
+                    del pending[-len(parts):]
+                del chain[k - 1][-len(parts):]
+        for i, u in enumerate(block):
+            row = meet[u]
+            for v in block[i + 1:]:
+                row[v] = None
+        pending.append((block, k))
         return None
 
-    def batches():
-        batch = []
-        for chain in chain_iter:
-            batch.append(chain)
-            if len(batch) == _CHUNK:
-                yield g, m, depth, batch
-                batch = []
-        if batch:
-            yield g, m, depth, batch
-
-    # imap keeps submission order, so the first hit matches the
-    # sequential answer even though later batches may finish sooner
-    with multiprocessing.Pool(jobs) as pool:
-        for result in pool.imap(_chain_batch, batches()):
-            if result is not None:
-                return result
-    return None
+    found = _search_coloring(g, m, depth, meet)
+    return None if found is None else walk(found)
 
 
-def tm_membership(g, d, m, cap=DEFAULT_TM_CAP, jobs=1):
+def tm_membership(g, d, m, cap=DEFAULT_TM_CAP):
     """Least-shape witness model of depth d with m colors, or None.
 
     The first chain (in nested-partition enumeration order) admitting a
-    coloring wins, so results are reproducible across jobs settings.
+    coloring wins; pruning never skips a chain that admits one, so the
+    witness is the one the unpruned enumeration would find.
     """
     if d < 0 or m < 1:
         raise DomainError("need d >= 0 and m >= 1")
@@ -218,15 +212,14 @@ def tm_membership(g, d, m, cap=DEFAULT_TM_CAP, jobs=1):
         if g.n != 1:
             return None
         return TreeModel(RootedTree([-1]), 0, m, {0: 0}, {0: 1}, set())
-    chain_iter = _iter_chains(tuple(range(g.n)), d - 1, None)
-    hit = _first_hit(g, m, d, chain_iter, jobs)
+    hit = _first_hit(g, m, d, d - 1, None)
     if hit is None:
         return None
     chain, colors, signature = hit
     return _build_witness(g, d, m, chain, colors, signature)
 
 
-def tmc_membership(g, d, m, k, cap=DEFAULT_TM_CAP, jobs=1):
+def tmc_membership(g, d, m, k, cap=DEFAULT_TM_CAP):
     """Witness for the k-copied class: depth d+1 models, m colors, at most
     k leaves per depth-d node.  Returns a CopiedTreeModel or None."""
     if d < 0 or m < 1 or k < 1:
@@ -237,8 +230,7 @@ def tmc_membership(g, d, m, k, cap=DEFAULT_TM_CAP, jobs=1):
         return None
     if d == 0 and g.n > k:
         return None
-    chain_iter = _iter_chains(tuple(range(g.n)), d, k)
-    hit = _first_hit(g, m, d + 1, chain_iter, jobs)
+    hit = _first_hit(g, m, d + 1, d, k)
     if hit is None:
         return None
     chain, colors, signature = hit
@@ -345,7 +337,7 @@ def enumerate_graphs(n):
     return list(_GRAPH_LISTS[n])
 
 
-def minimal_obstructions(d, m, max_n, cap=DEFAULT_TM_CAP, jobs=1):
+def minimal_obstructions(d, m, max_n, cap=DEFAULT_TM_CAP):
     """Non-members (up to isomorphism, <= max_n vertices) all of whose
     one-vertex-deleted induced subgraphs are members."""
     if max_n < 1:
@@ -359,7 +351,7 @@ def minimal_obstructions(d, m, max_n, cap=DEFAULT_TM_CAP, jobs=1):
     def is_member(h):
         key, _ = canonical_form(h)
         if key not in verdicts:
-            verdicts[key] = tm_membership(h, d, m, cap=cap, jobs=jobs) is not None
+            verdicts[key] = tm_membership(h, d, m, cap=cap) is not None
         return verdicts[key]
 
     out = []

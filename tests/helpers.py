@@ -3,7 +3,10 @@
 The oracles are deliberately naive re-derivations of quantities the package
 computes by cleverer means: straight-line recursions with no pruning, no
 symmetry breaking and no shared code paths.  Tests freeze expected values by
-comparing against these, never against the implementation under test.
+comparing against these, never against the implementation under test.  The
+one exception is the unpruned tree-model chain walk, which reuses the
+solver's coloring search and model assembly so that its witnesses can be
+compared with the solver's byte for byte.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import random
 from shrubkit.graph import Graph
 from shrubkit.rooted_tree import RootedTree
 from shrubkit.sc_model import SCTree
-from shrubkit.tree_model import ColoredTree, TreeModel
+from shrubkit.solver import _build_witness, _iter_partitions, _search_coloring
+from shrubkit.tree_model import ColoredTree, CopiedTreeModel, TreeModel
 from shrubkit.mso.formulas import (
     AllSet,
     AllVertex,
@@ -145,6 +149,71 @@ def naive_tm_membership(g, d, m):
             if good:
                 return True
     return False
+
+
+def _unpruned_chains(verts, levels, last_max_block):
+    """Every chain of nested partitions, coarsest first, in the order the
+    solver's walk visits them: the sub-chains of later sibling blocks vary
+    inside the loop over an earlier sibling's."""
+    if levels == 0:
+        yield []
+        return
+    cap = last_max_block if levels == 1 else None
+    for blocks in _iter_partitions(verts, cap):
+        for subchains in _unpruned_product(blocks, levels - 1, last_max_block):
+            merged = [
+                [blk for sub in subchains for blk in sub[k]]
+                for k in range(levels - 1)
+            ]
+            yield [blocks] + merged
+
+
+def _unpruned_product(blocks, levels, last_max_block):
+    if not blocks:
+        yield []
+        return
+    for head in _unpruned_chains(blocks[0], levels, last_max_block):
+        for tail in _unpruned_product(blocks[1:], levels, last_max_block):
+            yield [head] + tail
+
+
+def _unpruned_meet_matrix(n, chain):
+    meet = [[0] * n for _ in range(n)]
+    for k, partition in enumerate(chain, start=1):
+        for block in partition:
+            for a in range(len(block)):
+                for b in range(a + 1, len(block)):
+                    u, v = block[a], block[b]
+                    meet[u][v] = meet[v][u] = k
+    return meet
+
+
+def _unpruned_witness(g, m, depth, levels, last_max_block):
+    # only the chain walk differs from the solver; the coloring search on a
+    # complete meet matrix and the model assembly are shared on purpose
+    for chain in _unpruned_chains(tuple(range(g.n)), levels, last_max_block):
+        found = _search_coloring(g, m, depth, _unpruned_meet_matrix(g.n, chain))
+        if found is not None:
+            return _build_witness(g, depth, m, chain, *found)
+    return None
+
+
+def unpruned_tm_membership(g, d, m):
+    """tm_membership with no pruning: each complete chain, in enumeration
+    order, gets a fresh meet matrix and a full coloring search."""
+    if g.n == 0 or (d == 0 and g.n != 1):
+        return None
+    if d == 0:
+        return TreeModel(RootedTree([-1]), 0, m, {0: 0}, {0: 1}, set())
+    return _unpruned_witness(g, m, d, d - 1, None)
+
+
+def unpruned_tmc_membership(g, d, m, k):
+    """tmc_membership with no pruning, as unpruned_tm_membership."""
+    if g.n == 0 or (d == 0 and g.n > k):
+        return None
+    model = _unpruned_witness(g, m, d + 1, d, k)
+    return None if model is None else CopiedTreeModel(model, d, m, k)
 
 
 def reference_evaluate(structure, formula, fo=None, sets=None):

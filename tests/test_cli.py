@@ -7,7 +7,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from shrubkit import Graph, are_isomorphic, make_clique, make_path, realize
-from shrubkit.cli import main
+from shrubkit import constructions, depth, mso, solver
+from shrubkit.cli import _CAP_NAMES, main
 from shrubkit.graph import graph_from_text, graph_to_text
 from shrubkit.sc_model import evaluate_sc, sc_from_text
 from shrubkit.tree_model import model_from_text, verify
@@ -119,6 +120,19 @@ class TestConvert:
         bad = write(tmp_path / "bad.tm", "not json at all")
         code, _, err = run(["convert", "tm-eval", "--in", bad])
         assert code == 2 and "error:" in err
+
+    def test_crash_is_an_error_not_a_no(self, tmp_path):
+        # a signature entry that is not a triple makes the reader raise a
+        # bare TypeError; exit 1 would read as a failed verification
+        model = tmp_path / "m.tm"
+        assert run(["generate", "clique-model", "--n", "2", "-o", str(model)])[0] == 0
+        record = json.loads(model.read_text(encoding="utf-8"))
+        record["signature"] = [5]
+        bad = write(tmp_path / "bad.tm", json.dumps(record))
+        g_file = write(tmp_path / "k2.g", graph_to_text(make_clique(2)))
+        code, out, err = run(["verify", "tm", "--model", bad, "--graph", g_file])
+        assert code == 2 and out == ""
+        assert err.startswith("error: internal error: ")
 
 
 class TestSolve:
@@ -338,6 +352,16 @@ class TestStructuredOutput:
 
 
 class TestCapsEnv:
+    def test_defaults_are_the_module_constants(self):
+        assert _CAP_NAMES == {
+            "tm": solver.DEFAULT_TM_CAP,
+            "sc": solver.DEFAULT_SC_CAP,
+            "td": depth.DEFAULT_TD_CAP,
+            "path-model": constructions.DEFAULT_PATH_MODEL_CAP,
+            "mso-vertices": mso.DEFAULT_VERTEX_CAP,
+            "mso-set-quantifiers": mso.DEFAULT_SET_QUANTIFIER_CAP,
+        }
+
     def test_tm_cap_override(self, tmp_path, monkeypatch):
         g_file = write(tmp_path / "k3.g", graph_to_text(make_clique(3)))
         monkeypatch.setenv("SHRUBKIT_CAPS", "tm=2")

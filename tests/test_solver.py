@@ -1,6 +1,8 @@
 """Exact membership solvers and the minimal-obstruction enumeration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrubkit import (
     Graph,
@@ -22,11 +24,15 @@ from shrubkit import (
     verify_k_copied,
 )
 
+from shrubkit.tree_model import model_to_text
+
 from .helpers import (
     naive_sc_member_2,
     naive_tm_membership,
     random_graph,
     random_seeded,
+    unpruned_tm_membership,
+    unpruned_tmc_membership,
 )
 
 # minimal graphs with neighbourhood diversity above two, frozen once from the
@@ -103,19 +109,6 @@ class TestTmMembership:
                             sub, _ = induced_subgraph(g, range(n - 1))
                             assert tm_membership(sub, d, m) is not None
 
-    def test_jobs_do_not_change_the_witness(self):
-        rng = random_seeded(72)
-        for _ in range(10):
-            g = random_graph(rng, 6)
-            a = tm_membership(g, 2, 2, jobs=1)
-            b = tm_membership(g, 2, 2, jobs=2)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.tree.parent == b.tree.parent
-                assert a.leaf_vertex == b.leaf_vertex
-                assert a.leaf_color == b.leaf_color
-                assert a.signature == b.signature
-
     def test_flat_membership_is_neighbourhood_diversity(self):
         for n in range(1, 6):
             for g in enumerate_graphs(n):
@@ -128,6 +121,79 @@ class TestTmMembership:
             tm_membership(Graph(11), 1, 1)
         with pytest.raises(ResourceLimitError):
             tm_membership(Graph(4), 1, 1, cap=3)
+
+
+def _text(model):
+    return None if model is None else model_to_text(model)
+
+
+def _assert_walks_agree(g, d, m, ks):
+    got = _text(tm_membership(g, d, m))
+    assert got == _text(unpruned_tm_membership(g, d, m)), (g, d, m)
+    for k in ks:
+        copied = tmc_membership(g, d, m, k)
+        want = unpruned_tmc_membership(g, d, m, k)
+        assert _text(copied and copied.model) == _text(want and want.model), (
+            g, d, m, k
+        )
+
+
+@st.composite
+def small_graphs(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, keep in zip(pairs, picks) if keep])
+
+
+class CountingGraph(Graph):
+    """A graph that counts its adjacency tests."""
+
+    __slots__ = ()
+    edge_tests = 0
+
+    def has_edge(self, u, v):
+        CountingGraph.edge_tests += 1
+        return Graph.has_edge(self, u, v)
+
+
+class TestPrunedWalk:
+    """The level-by-level pruned chain walk against the unpruned one."""
+
+    def test_every_small_graph_gets_the_unpruned_witness(self):
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                for d in (1, 2, 3):
+                    for m in (1, 2, 3):
+                        _assert_walks_agree(g, d, m, (1, 2))
+
+    def test_sibling_order_decides_the_witness(self):
+        # walking sibling blocks last to first finds a different first chain
+        # here, for tm at depth 3 and tmc at depth 2, both with two colors
+        g = Graph(6, [(0, 2), (0, 3), (0, 5), (1, 3), (1, 4), (1, 5), (2, 4),
+                      (2, 5), (3, 5), (4, 5)])
+        _assert_walks_agree(g, 3, 2, ())
+        _assert_walks_agree(g, 2, 2, (2,))
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        small_graphs(7),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(1, 2),
+    )
+    def test_random_graphs_get_the_unpruned_witness(self, g, d, m, k):
+        # the unpruned walk needs seconds for tmc at d = 3 on 7 vertices
+        _assert_walks_agree(g, d, m, (k,) if d < 3 else ())
+
+    def test_no_answer_at_nine_vertices_is_cheap(self):
+        # P8 is not in TM_1(3); the unpruned walk spends 4,430,912 adjacency
+        # tests on it, the pruned one 99,460
+        p8 = make_path(8)
+        g = CountingGraph(p8.n, p8.edges)
+        CountingGraph.edge_tests = 0
+        assert tm_membership(g, 3, 1) is None
+        assert CountingGraph.edge_tests < 200_000
 
 
 class TestTmcMembership:
@@ -254,8 +320,3 @@ class TestObstructions:
         assert len(out) == len(expected)
         for g in out:
             assert any(are_isomorphic(g, h) for h in expected)
-
-    def test_jobs_do_not_change_the_list(self):
-        a = minimal_obstructions(1, 1, 4, jobs=1)
-        b = minimal_obstructions(1, 1, 4, jobs=2)
-        assert [(g.n, g.edges) for g in a] == [(g.n, g.edges) for g in b]
