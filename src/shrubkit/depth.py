@@ -6,6 +6,8 @@ order, with parent -1 for roots.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .errors import DomainError, ResourceLimitError, ValidationError
 from .graph import Graph
 from .rooted_tree import RootedTree
@@ -14,38 +16,27 @@ from .tree_model import TreeModel, grow_leaf
 DEFAULT_TD_CAP = 16
 
 
+@dataclass(frozen=True, slots=True)
 class EliminationForest:
-    """An immutable rooted forest on vertices 0..n-1 (parent -1 at roots)."""
+    """An immutable rooted forest on vertices 0..n-1 (parent -1 at roots).
 
-    __slots__ = ("parent", "_depth")
+    It is held as `tree`, a RootedTree on n + 1 nodes whose node n is a
+    virtual root above the forest's roots.
+    """
 
-    def __init__(self, parent):
-        parent = tuple(parent)
+    parent: tuple
+    tree: RootedTree = field(init=False, compare=False)
+
+    def __post_init__(self):
+        parent = tuple(self.parent)
         n = len(parent)
         for v, p in enumerate(parent):
             if p != -1 and not 0 <= p < n:
                 raise ValidationError(f"vertex {v} has out-of-range parent {p}")
-        depth = [-1] * n
-        children = [[] for _ in range(n)]
-        stack = []
-        for v, p in enumerate(parent):
-            if p == -1:
-                depth[v] = 0
-                stack.append(v)
-            else:
-                children[p].append(v)
-        while stack:
-            u = stack.pop()
-            for c in children[u]:
-                depth[c] = depth[u] + 1
-                stack.append(c)
-        if n and min(depth) < 0:
-            raise ValidationError("parent pointers contain a cycle")
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "_depth", tuple(depth))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EliminationForest is immutable")
+        object.__setattr__(
+            self, "tree", RootedTree([n if p == -1 else p for p in parent] + [-1])
+        )
 
     @property
     def n(self):
@@ -53,25 +44,16 @@ class EliminationForest:
 
     @property
     def height(self):
-        return max(self._depth, default=-1)
+        return self.tree.height - 1
 
     def depth(self, v):
-        return self._depth[v]
+        return self.tree.depth(v) - 1
 
     def roots(self):
-        return tuple(v for v, p in enumerate(self.parent) if p == -1)
+        return self.tree.children(self.n)
 
     def ancestors(self, v):
-        out = []
-        while self.parent[v] != -1:
-            v = self.parent[v]
-            out.append(v)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, EliminationForest):
-            return NotImplemented
-        return self.parent == other.parent
+        return self.tree.ancestors(v)[:-1]
 
     def __repr__(self):
         return f"EliminationForest(parent={list(self.parent)})"
@@ -181,16 +163,7 @@ def td_to_tm(g, f):
     if not validate_td(g, f):
         raise DomainError("forest is not an elimination forest for the graph")
     d = f.height + 1
-    roots = f.roots()
-    if len(roots) == 1:
-        tree = RootedTree(f.parent)
-    else:
-        parent = list(f.parent)
-        new_root = len(parent)
-        for r in roots:
-            parent[r] = new_root
-        parent.append(-1)
-        tree = RootedTree(parent)
+    tree = RootedTree(f.parent) if len(f.roots()) == 1 else f.tree
     model_depth = tree.height
 
     def color_of(u):

@@ -8,9 +8,13 @@ sorted, so a written file re-reads and re-writes to identical bytes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from itertools import combinations
+
 from .errors import DomainError, ValidationError
 
 
+@dataclass(frozen=True, slots=True)
 class Graph:
     """An immutable simple graph.
 
@@ -19,9 +23,13 @@ class Graph:
     labels are absent from the dict).
     """
 
-    __slots__ = ("n", "edges", "labels", "_adj")
+    n: int
+    edges: tuple = ()
+    labels: dict = None
+    _adj: tuple = field(init=False, compare=False)
 
-    def __init__(self, n, edges=(), labels=None):
+    def __post_init__(self):
+        n, edges, labels = self.n, self.edges, self.labels
         if n < 0:
             raise ValidationError(f"vertex count must be >= 0, got {n}")
         edge_set = set()
@@ -40,17 +48,14 @@ class Graph:
                 names = frozenset(str(name) for name in names)
                 if names:
                     label_map[v] = names
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(edge_set)))
-        object.__setattr__(self, "labels", label_map)
+        edges = tuple(sorted(edge_set))
         adj = [set() for _ in range(n)]
-        for u, v in self.edges:
+        for u, v in edges:
             adj[u].add(v)
             adj[v].add(u)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "labels", label_map)
         object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
 
     def has_edge(self, u, v):
         return v in self._adj[u]
@@ -64,15 +69,6 @@ class Graph:
     def vertex_labels(self, v):
         return self.labels.get(v, frozenset())
 
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.edges == other.edges
-            and self.labels == other.labels
-        )
-
     def __hash__(self):
         return hash((self.n, self.edges, frozenset(self.labels.items())))
 
@@ -82,13 +78,6 @@ class Graph:
             parts.append(f", labels={dict(sorted(self.labels.items()))}")
         return "".join(parts) + ")"
 
-    def __getstate__(self):
-        return (self.n, self.edges, self.labels)
-
-    def __setstate__(self, state):
-        n, edges, labels = state
-        self.__init__(n, edges, labels)
-
 
 def complement_on_subset(g, x):
     """Flip the adjacency of every vertex pair inside x; pairs leaving x stay."""
@@ -96,16 +85,14 @@ def complement_on_subset(g, x):
     for v in x:
         if not 0 <= v < g.n:
             raise DomainError(f"subset vertex {v} not in graph")
-    xs = sorted(x)
     edges = set(g.edges)
-    for i, u in enumerate(xs):
-        for v in xs[i + 1 :]:
-            pair = (u, v)
-            if pair in edges:
-                edges.remove(pair)
-            else:
-                edges.add(pair)
+    flip_inside(edges, x)
     return Graph(g.n, edges, g.labels)
+
+
+def flip_inside(edges, x):
+    """Toggle, in the set `edges` of (u, v) pairs with u < v, every pair inside x."""
+    edges.symmetric_difference_update(combinations(sorted(x), 2))
 
 
 def induced_subgraph(g, keep):

@@ -7,17 +7,21 @@ with label i, `E i j` joins every i-labeled vertex to every j-labeled one,
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .errors import DomainError, ValidationError
 from .graph import Graph
 
 
+@dataclass(frozen=True, slots=True)
 class LinCwExpression:
     """An immutable operation sequence over positive integer labels."""
 
-    __slots__ = ("ops", "labels")
+    ops: tuple
+    labels: int = field(init=False, compare=False)
 
-    def __init__(self, ops):
-        ops = tuple(tuple(op) for op in ops)
+    def __post_init__(self):
+        ops = tuple(tuple(op) for op in self.ops)
         if not ops:
             raise ValidationError("expression must contain an operation")
         labels = 0
@@ -36,14 +40,6 @@ class LinCwExpression:
                 raise ValidationError(f"unknown operation {op!r}")
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "labels", labels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinCwExpression is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, LinCwExpression):
-            return NotImplemented
-        return self.ops == other.ops
 
     def __repr__(self):
         return f"LinCwExpression({len(self.ops)} ops, {self.labels} labels)"

@@ -6,6 +6,8 @@ Vertex sets are manipulated as bitmasks; set quantifiers therefore cost
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..errors import DomainError, ResourceLimitError, ValidationError
 from ..graph import Graph
 from .formulas import (
@@ -34,30 +36,28 @@ DEFAULT_VERTEX_CAP = 12
 DEFAULT_SET_QUANTIFIER_CAP = 3
 
 
+@dataclass(frozen=True, slots=True)
 class RelStructure:
     """A graph together with named symmetric binary relations."""
 
-    __slots__ = ("graph", "relations")
+    graph: Graph
+    relations: dict = None
 
-    def __init__(self, graph, relations=None):
+    def __post_init__(self):
         pairs = {}
-        for name, rel in (relations or {}).items():
+        for name, rel in (self.relations or {}).items():
             if not name:
                 raise ValidationError("relation name must be non-empty")
             closed = set()
             for u, v in rel:
-                if not (0 <= u < graph.n and 0 <= v < graph.n):
+                if not (0 <= u < self.n and 0 <= v < self.n):
                     raise ValidationError(
                         f"relation {name} mentions a vertex outside the graph"
                     )
                 closed.add((u, v))
                 closed.add((v, u))
             pairs[name] = frozenset(closed)
-        object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "relations", pairs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RelStructure is immutable")
 
     @property
     def n(self):

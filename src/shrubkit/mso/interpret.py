@@ -8,6 +8,8 @@ source and image agree on it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..errors import DomainError, ValidationError
 from ..graph import Graph
 from .formulas import (
@@ -19,6 +21,7 @@ from .formulas import (
     ExistsSet,
     ExistsVertex,
     FalseConst,
+    Formula,
     HasLabel,
     Iff,
     Implies,
@@ -46,6 +49,7 @@ def _pick_vars(frees, wanted, what):
     return tuple((frees + defaults)[:wanted])
 
 
+@dataclass(frozen=True, slots=True)
 class Interpretation:
     """domain_formula names who survives, edge_formula who gets joined.
 
@@ -53,11 +57,15 @@ class Interpretation:
     from x, y when a formula uses fewer.
     """
 
-    __slots__ = ("domain_formula", "edge_formula", "domain_var", "edge_vars")
+    domain_formula: Formula
+    edge_formula: Formula
+    domain_var: str = None
+    edge_vars: tuple = None
 
-    def __init__(self, domain_formula, edge_formula, domain_var=None, edge_vars=None):
-        d_fo, d_set = free_vars(domain_formula)
-        e_fo, e_set = free_vars(edge_formula)
+    def __post_init__(self):
+        domain_var, edge_vars = self.domain_var, self.edge_vars
+        d_fo, d_set = free_vars(self.domain_formula)
+        e_fo, e_set = free_vars(self.edge_formula)
         if d_set or e_set:
             raise ValidationError(
                 "interpretation formulas may not have free set variables"
@@ -78,13 +86,8 @@ class Interpretation:
             raise ValidationError(
                 f"edge formula uses variables besides {edge_vars}"
             )
-        object.__setattr__(self, "domain_formula", domain_formula)
-        object.__setattr__(self, "edge_formula", edge_formula)
         object.__setattr__(self, "domain_var", domain_var)
         object.__setattr__(self, "edge_vars", edge_vars)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Interpretation is immutable")
 
 
 def apply_interpretation(interp, structure, **caps):

@@ -8,6 +8,7 @@ precondition) return None.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from ..errors import DomainError, ResourceLimitError, ValidationError
@@ -44,12 +45,17 @@ def k_copy(g, k):
     return RelStructure(Graph(k * n, edges, labels), {"sim": sim})
 
 
+@dataclass(frozen=True, slots=True)
 class Transduction:
-    """precondition sentence, interpretation, copy count, guessed labels."""
+    """interpretation, precondition sentence, copy count, guessed labels."""
 
-    __slots__ = ("precondition", "interpretation", "copies", "predicates")
+    interpretation: Interpretation
+    precondition: Formula = None
+    copies: int = 1
+    predicates: tuple = ()
 
-    def __init__(self, interpretation, precondition=None, copies=1, predicates=()):
+    def __post_init__(self):
+        precondition = self.precondition
         if precondition is None:
             precondition = TrueConst()
         if not isinstance(precondition, Formula):
@@ -57,23 +63,18 @@ class Transduction:
         fo, sets = free_vars(precondition)
         if fo or sets:
             raise ValidationError("precondition must be a sentence")
-        if not isinstance(interpretation, Interpretation):
+        if not isinstance(self.interpretation, Interpretation):
             raise ValidationError("interpretation must be an Interpretation")
-        if copies < 1:
+        if self.copies < 1:
             raise DomainError("copies must be >= 1")
-        predicates = tuple(predicates)
+        predicates = tuple(self.predicates)
         if len(set(predicates)) != len(predicates):
             raise ValidationError("predicate names must be distinct")
         for name in predicates:
             if not name:
                 raise ValidationError("predicate names must be non-empty")
         object.__setattr__(self, "precondition", precondition)
-        object.__setattr__(self, "interpretation", interpretation)
-        object.__setattr__(self, "copies", copies)
         object.__setattr__(self, "predicates", predicates)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Transduction is immutable")
 
 
 def _expand(g, td, labeling):

@@ -1,29 +1,41 @@
-"""Rooted trees on integer node ids, stored as parent arrays."""
+"""Rooted trees on integer node ids, stored as parent arrays.
+
+Also the shared reader of the JSON tree formats (tree-models, SC-trees and
+colored trees): each is a tree of JSON object records, and every record must
+have one of the key sets its format allows, with integers given as JSON ints.
+"""
 
 from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
 
 from .errors import DomainError, ValidationError
 
 
+@dataclass(frozen=True, slots=True)
 class RootedTree:
     """An immutable rooted tree.  parent[v] is v's parent, -1 marks the root."""
 
-    __slots__ = ("parent", "root", "height", "_children", "_depth")
+    parent: tuple
+    root: int = field(init=False, compare=False)
+    height: int = field(init=False, compare=False)
+    _children: tuple = field(init=False, compare=False)
+    _depth: tuple = field(init=False, compare=False)
 
-    def __init__(self, parent):
-        parent = tuple(parent)
+    def __post_init__(self):
+        parent = tuple(self.parent)
         n = len(parent)
         if n == 0:
             raise ValidationError("a rooted tree needs at least one node")
         roots = [i for i, p in enumerate(parent) if p == -1]
         if len(roots) != 1:
             raise ValidationError(f"expected exactly one root, found {len(roots)}")
-        for i, p in enumerate(parent):
-            if p != -1 and not 0 <= p < n:
-                raise ValidationError(f"node {i} has out-of-range parent {p}")
         children = [[] for _ in range(n)]
         for i, p in enumerate(parent):
             if p != -1:
+                if not 0 <= p < n:
+                    raise ValidationError(f"node {i} has out-of-range parent {p}")
                 children[p].append(i)
         depth = [-1] * n
         depth[roots[0]] = 0
@@ -40,9 +52,6 @@ class RootedTree:
         object.__setattr__(self, "_children", tuple(tuple(c) for c in children))
         object.__setattr__(self, "_depth", tuple(depth))
         object.__setattr__(self, "height", max(depth))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootedTree is immutable")
 
     @property
     def n(self):
@@ -78,6 +87,13 @@ class RootedTree:
             v = self.parent[v]
         return u
 
+    def leaf_pairs(self):
+        """Yield (u, v, depth of their lca) for leaves u < v, in lexicographic order."""
+        leaves = self.leaves()
+        for a, u in enumerate(leaves):
+            for v in leaves[a + 1 :]:
+                yield u, v, self._depth[self.lca(u, v)]
+
     def leaf_descendants(self, u):
         out = []
         stack = [u]
@@ -88,9 +104,6 @@ class RootedTree:
             else:
                 stack.extend(self._children[w])
         return sorted(out)
-
-    def subtree_height(self, u):
-        return max(self._depth[w] for w in self.leaf_descendants(u)) - self._depth[u]
 
     def extend_path(self, u, length):
         """Append a fresh path of `length` edges below u.
@@ -109,22 +122,8 @@ class RootedTree:
             prev = len(parent) - 1
         return RootedTree(parent), prev
 
-    def __eq__(self, other):
-        if not isinstance(other, RootedTree):
-            return NotImplemented
-        return self.parent == other.parent
-
-    def __hash__(self):
-        return hash(self.parent)
-
     def __repr__(self):
         return f"RootedTree(parent={list(self.parent)})"
-
-    def __getstate__(self):
-        return self.parent
-
-    def __setstate__(self, state):
-        self.__init__(state)
 
 
 def subtree_on(tree, keep):
@@ -145,3 +144,65 @@ def subtree_on(tree, keep):
                 raise DomainError(f"kept node {old} has dropped parent {p}")
             parent.append(pos[p])
     return RootedTree(parent), tuple(kept)
+
+
+# ---------------------------------------------------------------------------
+# the JSON tree reader
+
+# A record shape maps each key to the kind of its value: int (a JSON int, not
+# a bool), dict (an object), list (any list, "children" holds the child
+# records), or a one-tuple (kind,) for a list whose items are all of that kind.
+_KIND_NAMES = {
+    int: "an integer",
+    dict: "an object",
+    list: "a list",
+    (int,): "a list of integers",
+    ((int,),): "a list of integer lists",
+}
+
+
+def _fits(value, kind):
+    if isinstance(kind, tuple):
+        return type(value) is list and all(_fits(x, kind[0]) for x in value)
+    return type(value) is kind
+
+
+def load_json(text, what):
+    """json.loads, with malformed or too deeply nested text a ValidationError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"bad {what} JSON: {exc}") from None
+
+
+def check_record(record, shapes, what):
+    """Check that record is an object matching one of `shapes`."""
+    if type(record) is not dict:
+        raise ValidationError(f"{what} records must be JSON objects")
+    for shape in shapes:
+        if record.keys() == shape.keys():
+            for key, kind in shape.items():
+                if not _fits(record[key], kind):
+                    raise ValidationError(
+                        f"{what} field {key!r} must be {_KIND_NAMES[kind]}"
+                    )
+            return
+    raise ValidationError(f"bad {what} record keys: {sorted(record)}")
+
+
+def flatten_records(root, shapes, what):
+    """Flatten a JSON record tree into (parent, records) in preorder.
+
+    Child records sit in each record's "children" list.  Node ids are
+    preorder positions, as a recursive walk would number them.
+    """
+    parent, records = [], []
+    stack = [(root, -1)]
+    while stack:
+        record, up = stack.pop()
+        check_record(record, shapes, what)
+        me = len(records)
+        parent.append(up)
+        records.append(record)
+        stack.extend((child, me) for child in reversed(record.get("children", ())))
+    return parent, records

@@ -12,22 +12,29 @@ The file format is JSON: {"vertex": v} at leaves, {"X": [...], "children":
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 
 from .errors import DomainError, ValidationError
-from .graph import Graph
-from .rooted_tree import RootedTree
+from .graph import Graph, flip_inside
+from .rooted_tree import RootedTree, flatten_records, load_json
 from .tree_model import TreeModel
 
 
+@dataclass(frozen=True, slots=True)
 class SCTree:
-    """An immutable subset-complementation tree node."""
+    """An immutable subset-complementation tree node.
 
-    __slots__ = ("children", "x", "vertex", "leaf_vertices", "height")
+    A leaf is (None, None, vertex), an internal node (children, x, None).
+    """
 
-    def __init__(self, children, x, vertex):
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "vertex", vertex)
+    children: tuple
+    x: frozenset
+    vertex: int
+    leaf_vertices: frozenset = field(init=False, compare=False)
+    height: int = field(init=False, compare=False)
+
+    def __post_init__(self):
+        children, x, vertex = self.children, self.x, self.vertex
         if children is None:
             if not isinstance(vertex, int) or vertex < 0:
                 raise ValidationError(f"leaf vertex must be an int >= 0, got {vertex}")
@@ -51,9 +58,6 @@ class SCTree:
             object.__setattr__(self, "leaf_vertices", frozenset(union))
             object.__setattr__(self, "height", 1 + max(c.height for c in children))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SCTree is immutable")
-
     @classmethod
     def leaf(cls, vertex):
         return cls(None, None, vertex)
@@ -66,28 +70,10 @@ class SCTree:
     def is_leaf(self):
         return self.children is None
 
-    def __eq__(self, other):
-        if not isinstance(other, SCTree):
-            return NotImplemented
-        if self.is_leaf or other.is_leaf:
-            return self.is_leaf and other.is_leaf and self.vertex == other.vertex
-        return self.x == other.x and self.children == other.children
-
     def __repr__(self):
         if self.is_leaf:
             return f"SCTree.leaf({self.vertex})"
         return f"SCTree(height={self.height}, n={len(self.leaf_vertices)})"
-
-
-def _toggle_pairs(edges, xs):
-    xs = sorted(xs)
-    for i, u in enumerate(xs):
-        for v in xs[i + 1 :]:
-            pair = (u, v)
-            if pair in edges:
-                edges.remove(pair)
-            else:
-                edges.add(pair)
 
 
 def _eval_edges(t):
@@ -96,7 +82,7 @@ def _eval_edges(t):
     edges = set()
     for child in t.children:
         edges |= _eval_edges(child)
-    _toggle_pairs(edges, t.x)
+    flip_inside(edges, t.x)
     return edges
 
 
@@ -228,17 +214,12 @@ def sc_to_tm(t):
     tree = RootedTree(parent)
 
     signature = set()
-    leaves = tree.leaves()
-    for a in range(len(leaves)):
-        for b in range(a + 1, len(leaves)):
-            u, v = leaves[a], leaves[b]
-            lvl = k - tree.depth(tree.lca(u, v))
-            parity = sum(
-                vectors[u][i] & vectors[v][i] for i in range(lvl - 1, k)
-            )
-            if parity % 2:
-                signature.add((leaf_color[u], leaf_color[v], lvl))
-                signature.add((leaf_color[v], leaf_color[u], lvl))
+    for u, v, meet in tree.leaf_pairs():
+        lvl = k - meet
+        parity = sum(vectors[u][i] & vectors[v][i] for i in range(lvl - 1, k))
+        if parity % 2:
+            signature.add((leaf_color[u], leaf_color[v], lvl))
+            signature.add((leaf_color[v], leaf_color[u], lvl))
 
     return TreeModel(tree, k, max(2**k, 1), leaf_vertex, leaf_color, signature)
 
@@ -267,24 +248,19 @@ def sc_to_text(t):
     return json.dumps(_sc_record(t), indent=2, sort_keys=True) + "\n"
 
 
+_SC_SHAPES = ({"vertex": int}, {"X": (int,), "children": list})
+
+
 def sc_from_text(text):
     """Parse the JSON SCTree format; malformed input raises ValidationError."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad SC-tree JSON: {exc}") from None
-
-    def build(record):
-        if not isinstance(record, dict):
-            raise ValidationError("SC-tree nodes must be JSON objects")
+    parent, records = flatten_records(load_json(text, "SC-tree"), _SC_SHAPES, "SC-tree")
+    tree = RootedTree(parent)
+    nodes = [None] * tree.n
+    # preorder ids put every child after its parent, so build bottom up
+    for u in reversed(range(tree.n)):
+        record = records[u]
         if "vertex" in record:
-            if set(record) != {"vertex"}:
-                raise ValidationError(f"bad leaf record: {sorted(record)}")
-            return SCTree.leaf(record["vertex"])
-        if set(record) != {"X", "children"}:
-            raise ValidationError(f"bad node record: {sorted(record)}")
-        return SCTree.inner(
-            tuple(build(c) for c in record["children"]), record["X"]
-        )
-
-    return build(doc)
+            nodes[u] = SCTree.leaf(record["vertex"])
+        else:
+            nodes[u] = SCTree.inner((nodes[c] for c in tree.children(u)), record["X"])
+    return nodes[0]

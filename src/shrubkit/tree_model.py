@@ -15,20 +15,14 @@ children by a canonical code, so files round-trip byte for byte.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 from .errors import DomainError, SignatureConflict, ValidationError
 from .graph import Graph
-from .rooted_tree import RootedTree, subtree_on
+from .rooted_tree import RootedTree, check_record, flatten_records, load_json, subtree_on
 
 
-def _symmetrize(signature):
-    out = set()
-    for i, j, lvl in signature:
-        out.add((i, j, lvl))
-        out.add((j, i, lvl))
-    return frozenset(out)
-
-
+@dataclass(frozen=True, slots=True)
 class TreeModel:
     """An immutable tree-model.
 
@@ -36,9 +30,16 @@ class TreeModel:
     bijection onto 0..n-1); leaf_color maps each leaf node to 1..colors.
     """
 
-    __slots__ = ("tree", "depth", "colors", "leaf_vertex", "leaf_color", "signature")
+    tree: RootedTree
+    depth: int
+    colors: int
+    leaf_vertex: dict
+    leaf_color: dict
+    signature: frozenset
 
-    def __init__(self, tree, depth, colors, leaf_vertex, leaf_color, signature):
+    def __post_init__(self):
+        tree, depth, colors = self.tree, self.depth, self.colors
+        leaf_vertex, leaf_color = self.leaf_vertex, self.leaf_color
         if depth < 0:
             raise ValidationError(f"depth must be >= 0, got {depth}")
         if colors < 1:
@@ -59,7 +60,7 @@ class TreeModel:
         for u, c in leaf_color.items():
             if not 1 <= c <= colors:
                 raise ValidationError(f"leaf {u} has color {c} outside 1..{colors}")
-        signature = frozenset(tuple(t) for t in signature)
+        signature = frozenset(tuple(t) for t in self.signature)
         for i, j, lvl in signature:
             if not (1 <= i <= colors and 1 <= j <= colors and 1 <= lvl <= depth):
                 raise ValidationError(f"signature triple {(i, j, lvl)} out of range")
@@ -67,15 +68,9 @@ class TreeModel:
                 raise ValidationError(
                     f"signature not symmetric: missing {(j, i, lvl)}"
                 )
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "leaf_vertex", dict(leaf_vertex))
         object.__setattr__(self, "leaf_color", dict(leaf_color))
         object.__setattr__(self, "signature", signature)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TreeModel is immutable")
 
     @property
     def n(self):
@@ -85,49 +80,21 @@ class TreeModel:
         """Half the tree distance between two distinct leaves."""
         return self.depth - self.tree.depth(self.tree.lca(u, v))
 
-    def __eq__(self, other):
-        if not isinstance(other, TreeModel):
-            return NotImplemented
-        return (
-            self.tree == other.tree
-            and self.depth == other.depth
-            and self.colors == other.colors
-            and self.leaf_vertex == other.leaf_vertex
-            and self.leaf_color == other.leaf_color
-            and self.signature == other.signature
-        )
-
     def __repr__(self):
         return (
             f"TreeModel(depth={self.depth}, colors={self.colors}, "
             f"n={self.n}, signature={sorted(self.signature)})"
         )
 
-    def __getstate__(self):
-        return (
-            self.tree,
-            self.depth,
-            self.colors,
-            self.leaf_vertex,
-            self.leaf_color,
-            self.signature,
-        )
-
-    def __setstate__(self, state):
-        self.__init__(*state)
-
 
 def realize(model):
     """The graph a model denotes, on vertex ids given by leaf_vertex."""
-    leaves = model.tree.leaves()
-    edges = []
-    for a in range(len(leaves)):
-        for b in range(a + 1, len(leaves)):
-            u, v = leaves[a], leaves[b]
-            lvl = model.pair_level(u, v)
-            triple = (model.leaf_color[u], model.leaf_color[v], lvl)
-            if triple in model.signature:
-                edges.append((model.leaf_vertex[u], model.leaf_vertex[v]))
+    d, vertex, color = model.depth, model.leaf_vertex, model.leaf_color
+    edges = [
+        (vertex[u], vertex[v])
+        for u, v, meet in model.tree.leaf_pairs()
+        if (color[u], color[v], d - meet) in model.signature
+    ]
     return Graph(model.n, edges)
 
 
@@ -153,25 +120,23 @@ def infer_signature(tree, leaf_vertex, leaf_color, g):
         raise DomainError("leaf_vertex must biject leaves onto the vertex set")
     seen = {}
     signature = set()
-    for a in range(len(leaves)):
-        for b in range(a + 1, len(leaves)):
-            u, v = leaves[a], leaves[b]
-            lvl = depth - tree.depth(tree.lca(u, v))
-            cu, cv = leaf_color[u], leaf_color[v]
-            key = (min(cu, cv), max(cu, cv), lvl)
-            adjacent = g.has_edge(leaf_vertex[u], leaf_vertex[v])
-            if key in seen:
-                prev_pair, prev_adj = seen[key]
-                if prev_adj != adjacent:
-                    pair = (leaf_vertex[u], leaf_vertex[v])
-                    edge_pair = prev_pair if prev_adj else pair
-                    non_pair = pair if prev_adj else prev_pair
-                    raise SignatureConflict(key, edge_pair, non_pair)
-            else:
-                seen[key] = ((leaf_vertex[u], leaf_vertex[v]), adjacent)
-            if adjacent:
-                signature.add((cu, cv, lvl))
-                signature.add((cv, cu, lvl))
+    for u, v, meet in tree.leaf_pairs():
+        lvl = depth - meet
+        cu, cv = leaf_color[u], leaf_color[v]
+        key = (min(cu, cv), max(cu, cv), lvl)
+        adjacent = g.has_edge(leaf_vertex[u], leaf_vertex[v])
+        if key in seen:
+            prev_pair, prev_adj = seen[key]
+            if prev_adj != adjacent:
+                pair = (leaf_vertex[u], leaf_vertex[v])
+                edge_pair = prev_pair if prev_adj else pair
+                non_pair = pair if prev_adj else prev_pair
+                raise SignatureConflict(key, edge_pair, non_pair)
+        else:
+            seen[key] = ((leaf_vertex[u], leaf_vertex[v]), adjacent)
+        if adjacent:
+            signature.add((cu, cv, lvl))
+            signature.add((cv, cu, lvl))
     return frozenset(signature)
 
 
@@ -270,23 +235,21 @@ def add_leaf_level(model):
     )
 
 
+@dataclass(frozen=True, slots=True)
 class CopiedTreeModel:
     """A k-copied tree-model: a depth d+1 model with parameters (d, m, k)."""
 
-    __slots__ = ("model", "d", "m", "k")
+    model: TreeModel
+    d: int
+    m: int
+    k: int
 
-    def __init__(self, model, d, m, k):
-        if not verify_k_copied(model, d, m, k):
+    def __post_init__(self):
+        if not verify_k_copied(self.model, self.d, self.m, self.k):
             raise ValidationError(
-                f"model is not a valid {k}-copied model of depth {d} with {m} colors"
+                f"model is not a valid {self.k}-copied model of depth {self.d} "
+                f"with {self.m} colors"
             )
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CopiedTreeModel is immutable")
 
     def __repr__(self):
         return f"CopiedTreeModel(d={self.d}, m={self.m}, k={self.k}, n={self.model.n})"
@@ -311,28 +274,21 @@ def verify_k_copied(model, d, m, k):
 # colored rooted trees and the repeated-subtree reduction
 
 
+@dataclass(frozen=True, slots=True)
 class ColoredTree:
     """A rooted tree with a color (positive int) on every node."""
 
-    __slots__ = ("tree", "color")
+    tree: RootedTree
+    color: tuple
 
-    def __init__(self, tree, color):
-        color = tuple(color)
-        if len(color) != tree.n:
+    def __post_init__(self):
+        color = tuple(self.color)
+        if len(color) != self.tree.n:
             raise ValidationError("need exactly one color per node")
         for c in color:
             if c < 1:
                 raise ValidationError(f"colors must be positive ints, got {c}")
-        object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "color", color)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ColoredTree is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ColoredTree):
-            return NotImplemented
-        return self.tree == other.tree and self.color == other.color
 
     def __repr__(self):
         return f"ColoredTree(n={self.tree.n}, height={self.tree.height})"
@@ -437,44 +393,27 @@ def model_to_text(model):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _build_tree(record, parent, leaf_vertex, leaf_color, parent_id):
-    parent.append(parent_id)
-    me = len(parent) - 1
-    if "vertex" in record or "color" in record:
-        if set(record) != {"vertex", "color"}:
-            raise ValidationError(f"bad leaf record: {sorted(record)}")
-        leaf_vertex[me] = record["vertex"]
-        leaf_color[me] = record["color"]
-    else:
-        if set(record) != {"children"}:
-            raise ValidationError(f"bad node record: {sorted(record)}")
-        if not record["children"]:
-            raise ValidationError("internal node with empty children list")
-        for child in record["children"]:
-            _build_tree(child, parent, leaf_vertex, leaf_color, me)
+_MODEL_SHAPE = {"depth": int, "colors": int, "signature": ((int,),), "tree": dict}
+_MODEL_NODE_SHAPES = ({"vertex": int, "color": int}, {"children": list})
 
 
 def model_from_text(text):
     """Parse the JSON model format; malformed input raises ValidationError."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad model JSON: {exc}") from None
-    for key in ("depth", "colors", "signature", "tree"):
-        if key not in doc:
-            raise ValidationError(f"model record lacks {key!r}")
-    parent, leaf_vertex, leaf_color = [], {}, {}
-    _build_tree(doc["tree"], parent, leaf_vertex, leaf_color, -1)
-    signature = [tuple(t) for t in doc["signature"]]
-    if any(len(t) != 3 for t in signature):
+    doc = load_json(text, "model")
+    check_record(doc, (_MODEL_SHAPE,), "model")
+    if any(len(t) != 3 for t in doc["signature"]):
         raise ValidationError("signature triples must have three entries")
+    parent, records = flatten_records(doc["tree"], _MODEL_NODE_SHAPES, "model")
+    if {"children": []} in records:
+        raise ValidationError("internal node with empty children list")
+    leaves = [(u, r) for u, r in enumerate(records) if "vertex" in r]
     return TreeModel(
         RootedTree(parent),
         doc["depth"],
         doc["colors"],
-        leaf_vertex,
-        leaf_color,
-        signature,
+        {u: r["vertex"] for u, r in leaves},
+        {u: r["color"] for u, r in leaves},
+        doc["signature"],
     )
 
 
@@ -493,23 +432,11 @@ def colored_tree_to_text(ct):
     return json.dumps(_colored_record(ct, ct.tree.root), indent=2, sort_keys=True) + "\n"
 
 
+_COLORED_SHAPES = ({"color": int, "children": list}, {"color": int})
+
+
 def colored_tree_from_text(text):
     """Parse the JSON colored-tree format."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad colored-tree JSON: {exc}") from None
-
-    parent, color = [], []
-
-    def build(record, parent_id):
-        if not isinstance(record, dict) or "color" not in record:
-            raise ValidationError("colored-tree nodes need a color")
-        parent.append(parent_id)
-        color.append(record["color"])
-        me = len(parent) - 1
-        for child in record.get("children", ()):
-            build(child, me)
-
-    build(doc, -1)
-    return ColoredTree(RootedTree(parent), color)
+    doc = load_json(text, "colored-tree")
+    parent, records = flatten_records(doc, _COLORED_SHAPES, "colored-tree")
+    return ColoredTree(RootedTree(parent), [r["color"] for r in records])

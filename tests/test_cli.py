@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from shrubkit import Graph, are_isomorphic, make_clique, make_path, realize
-from shrubkit import constructions, depth, mso, solver
+from shrubkit import constructions, depth, mso, solver, tree_model
 from shrubkit.cli import _CAP_NAMES, main
 from shrubkit.graph import graph_from_text, graph_to_text
 from shrubkit.sc_model import evaluate_sc, sc_from_text
@@ -121,18 +121,19 @@ class TestConvert:
         code, _, err = run(["convert", "tm-eval", "--in", bad])
         assert code == 2 and "error:" in err
 
-    def test_crash_is_an_error_not_a_no(self, tmp_path):
-        # a signature entry that is not a triple makes the reader raise a
-        # bare TypeError; exit 1 would read as a failed verification
+    def test_crash_is_an_error_not_a_no(self, tmp_path, monkeypatch):
+        # an unexpected exception must not exit 1, which would read as a
+        # failed verification
+        def crash(*args):
+            raise RuntimeError("boom")
+
         model = tmp_path / "m.tm"
         assert run(["generate", "clique-model", "--n", "2", "-o", str(model)])[0] == 0
-        record = json.loads(model.read_text(encoding="utf-8"))
-        record["signature"] = [5]
-        bad = write(tmp_path / "bad.tm", json.dumps(record))
         g_file = write(tmp_path / "k2.g", graph_to_text(make_clique(2)))
-        code, out, err = run(["verify", "tm", "--model", bad, "--graph", g_file])
+        monkeypatch.setattr(tree_model, "verify", crash)
+        code, out, err = run(["verify", "tm", "--model", str(model), "--graph", g_file])
         assert code == 2 and out == ""
-        assert err.startswith("error: internal error: ")
+        assert err.startswith("error: internal error: RuntimeError: boom")
 
 
 class TestSolve:

@@ -82,6 +82,13 @@ class TestRootedTree:
         with pytest.raises(ValidationError):
             RootedTree([-1, 2, 1])
 
+    def test_leaf_pairs_are_lexicographic_with_meet_depth(self):
+        t = RootedTree([-1, 0, 0, 1, 1, 2, 1])
+        assert list(t.leaf_pairs()) == [
+            (3, 4, 1), (3, 5, 0), (3, 6, 1), (4, 5, 0), (4, 6, 1), (5, 6, 0)
+        ]
+        assert list(RootedTree([-1]).leaf_pairs()) == []
+
     def test_extend_path(self):
         t = RootedTree([-1])
         t2, leaf = t.extend_path(0, 3)
@@ -155,6 +162,14 @@ class TestTreeModel:
         lc = {1: 1, 2: 1, 3: 1}
         with pytest.raises(SignatureConflict):
             infer_signature(tree, lv, lc, Graph(3, [(0, 1)]))
+
+    def test_infer_signature_conflict_names_the_first_pairs(self):
+        tree = RootedTree([-1, 0, 0, 0])
+        lv = {1: 0, 2: 1, 3: 2}
+        lc = {1: 1, 2: 1, 3: 1}
+        with pytest.raises(SignatureConflict) as info:
+            infer_signature(tree, lv, lc, Graph(3, [(0, 1)]))
+        assert (info.value.pair_a, info.value.pair_b) == ((0, 1), (0, 2))
 
     def test_infer_signature_rejects_ragged_leaves(self):
         tree = RootedTree([-1, 0, 0, 1])
