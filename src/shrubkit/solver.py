@@ -247,12 +247,25 @@ def _relabel_sc(t, mapping):
     )
 
 
+def _clique_vertices(g):
+    """Sorted endpoints of g's edges if the edges are every pair among them
+    (g is a clique plus isolated vertices), else None."""
+    ends = sorted({v for e in g.edges for v in e})
+    k = len(ends)
+    return ends if len(g.edges) == k * (k - 1) // 2 else None
+
+
 def sc_membership(g, depth, cap=DEFAULT_SC_CAP):
     """Witness SC-tree of height <= depth realizing g, or None.
 
     Tries every complement set X on the canonical form, recursing into the
     components of the complemented graph; decisions are memoized on
-    (canonical form, remaining depth).
+    (canonical form, remaining depth).  Heights 0 and 1 are decided in closed
+    form before any canonical form is taken: height 0 holds one vertex only,
+    and height 1 holds exactly a clique plus isolated vertices, whose witness
+    flips the clique (or nothing) over the leaves.  A YES at height 1 still
+    goes through the canonical form and the memo, so that its witness lists
+    the leaves in canonical order, as the complement-set loop did.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
@@ -263,6 +276,12 @@ def sc_membership(g, depth, cap=DEFAULT_SC_CAP):
     memo = {}
 
     def member(h, budget):
+        if h.n == 1:
+            return SCTree.leaf(0)
+        if budget == 0:
+            return None
+        if budget == 1 and _clique_vertices(h) is None:
+            return None
         key, perm = canonical_form(h)
         if (key, budget) in memo:
             witness = memo[key, budget]
@@ -279,10 +298,11 @@ def sc_membership(g, depth, cap=DEFAULT_SC_CAP):
 
     def _member_canonical(hc, budget):
         n = hc.n
-        if n == 1 and not hc.edges:
-            return SCTree.leaf(0)
-        if budget == 0:
-            return None
+        if budget == 1:
+            # the first X the loop below accepts: none if hc has no edges,
+            # else the clique, the only X whose flip leaves no edge
+            leaves = [SCTree.leaf(v) for v in range(n)]
+            return SCTree.inner(leaves, _clique_vertices(hc))
         for mask in range(1 << n):
             x = [v for v in range(n) if mask >> v & 1]
             flipped = complement_on_subset(hc, x)

@@ -4,9 +4,10 @@ The oracles are deliberately naive re-derivations of quantities the package
 computes by cleverer means: straight-line recursions with no pruning, no
 symmetry breaking and no shared code paths.  Tests freeze expected values by
 comparing against these, never against the implementation under test.  The
-one exception is the unpruned tree-model chain walk, which reuses the
-solver's coloring search and model assembly so that its witnesses can be
-compared with the solver's byte for byte.
+two exceptions are the unpruned tree-model chain walk, which reuses the
+solver's coloring search and model assembly, and the exhaustive SC-tree
+recursion, which reuses the canonical form and the graph operations; both
+exist so that their witnesses can be compared with the solver's exactly.
 """
 
 from __future__ import annotations
@@ -14,10 +15,22 @@ from __future__ import annotations
 import itertools
 import random
 
-from shrubkit.graph import Graph
+from shrubkit.graph import (
+    Graph,
+    canonical_form,
+    complement_on_subset,
+    components,
+    induced_subgraph,
+    relabel_graph,
+)
 from shrubkit.rooted_tree import RootedTree
 from shrubkit.sc_model import SCTree
-from shrubkit.solver import _build_witness, _iter_partitions, _search_coloring
+from shrubkit.solver import (
+    _build_witness,
+    _iter_partitions,
+    _relabel_sc,
+    _search_coloring,
+)
 from shrubkit.tree_model import ColoredTree, CopiedTreeModel, TreeModel
 from shrubkit.mso.formulas import (
     AllSet,
@@ -214,6 +227,56 @@ def unpruned_tmc_membership(g, d, m, k):
         return None
     model = _unpruned_witness(g, m, d + 1, d, k)
     return None if model is None else CopiedTreeModel(model, d, m, k)
+
+
+def exhaustive_sc_membership(g, depth):
+    """sc_membership with no closed forms: every height, 0 and 1 included,
+    tries each complement set X on the canonical form in mask order and
+    recurses into the components of the flipped graph, memoized on
+    (canonical form, remaining depth)."""
+    if g.n == 0:
+        return None
+    memo = {}
+
+    def member(h, budget):
+        key, perm = canonical_form(h)
+        if (key, budget) not in memo:
+            memo[key, budget] = member_canonical(relabel_graph(h, perm), budget)
+        witness = memo[key, budget]
+        if witness is None:
+            return None
+        inverse = [0] * h.n
+        for old, new in perm.items():
+            inverse[new] = old
+        return _relabel_sc(witness, inverse)
+
+    def member_canonical(hc, budget):
+        n = hc.n
+        if n == 1:
+            return SCTree.leaf(0)
+        if budget == 0:
+            return None
+        for mask in range(1 << n):
+            x = [v for v in range(n) if mask >> v & 1]
+            flipped = complement_on_subset(hc, x)
+            children = []
+            for comp in components(flipped):
+                # an empty X leaves a connected graph as it was: that level
+                # would change nothing, so the solver never emits it
+                if len(comp) == n and not x:
+                    children = None
+                    break
+                sub, ids = induced_subgraph(flipped, comp)
+                sub_witness = member(sub, budget - 1)
+                if sub_witness is None:
+                    children = None
+                    break
+                children.append(_relabel_sc(sub_witness, dict(enumerate(ids))))
+            if children is not None:
+                return SCTree.inner(children, x)
+        return None
+
+    return member(g, depth)
 
 
 def reference_evaluate(structure, formula, fo=None, sets=None):
@@ -478,8 +541,19 @@ def naive_sc_member_2(g, height):
     for parts in set_partitions(verts):
         for xbits in range(1 << n):
             x = {v for v in verts if xbits >> v & 1}
-            edges = set()
             ok = True
+            # cross-part pairs start absent; the global flip decides them
+            for i, u in enumerate(verts):
+                for v in verts[i + 1:]:
+                    if any(u in p and v in p for p in parts):
+                        continue
+                    if g.has_edge(u, v) != (u in x and v in x):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                continue
             for part in parts:
                 inside = [v for v in part if v in x]
                 # a height-1 part is a clique on some subset of the part;
@@ -493,18 +567,6 @@ def naive_sc_member_2(g, height):
                 if not all(frozenset((u, v)) in pre for i, u in enumerate(cols)
                            for v in cols[i + 1:]):
                     ok = False
-                    break
-            if not ok:
-                continue
-            # cross-part pairs start absent; the global flip decides them
-            for i, u in enumerate(verts):
-                for v in verts[i + 1:]:
-                    if any(u in p and v in p for p in parts):
-                        continue
-                    if g.has_edge(u, v) != (u in x and v in x):
-                        ok = False
-                        break
-                if not ok:
                     break
             if ok:
                 return True

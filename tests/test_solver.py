@@ -24,9 +24,13 @@ from shrubkit import (
     verify_k_copied,
 )
 
+from shrubkit import solver
+from shrubkit.graph import canonical_form, relabel_graph
+from shrubkit.sc_model import sc_to_text
 from shrubkit.tree_model import model_to_text
 
 from .helpers import (
+    exhaustive_sc_membership,
     naive_sc_member_2,
     naive_tm_membership,
     random_graph,
@@ -139,11 +143,44 @@ def _assert_walks_agree(g, d, m, ks):
 
 
 @st.composite
-def small_graphs(draw, max_n):
-    n = draw(st.integers(1, max_n))
+def small_graphs(draw, max_n, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, keep in zip(pairs, picks) if keep])
+
+
+@st.composite
+def sc_graphs(draw, min_n, max_n, height):
+    """A uniform graph, or a planted member of SC(height) with one pair maybe
+    toggled, so that both verdicts are common at every size."""
+    n = draw(st.integers(min_n, max_n))
+    if draw(st.booleans()):
+        return draw(small_graphs(n, min_n=n))
+
+    def planted(verts, h):
+        # an SC-tree of height <= h over verts: split into child blocks,
+        # realize each below, then flip one subset X
+        if len(verts) == 1:
+            return set()
+        if h == 1:
+            blocks = [[v] for v in verts]
+        else:
+            ids = draw(st.lists(st.integers(0, len(verts) - 1),
+                                min_size=len(verts), max_size=len(verts)))
+            blocks = [[v for v, b in zip(verts, ids) if b == i]
+                      for i in sorted(set(ids))]
+        edges = set()
+        for block in blocks:
+            edges |= planted(block, h - 1)
+        x = [v for v in verts if draw(st.booleans())]
+        return edges ^ {(u, v) for i, u in enumerate(x) for v in x[i + 1:]}
+
+    edges = planted(list(range(n)), height)
+    if n > 1 and draw(st.booleans()):
+        u = draw(st.integers(0, n - 2))
+        edges ^= {(u, draw(st.integers(u + 1, n - 1)))}
+    return Graph(n, edges)
 
 
 class CountingGraph(Graph):
@@ -271,11 +308,82 @@ class TestScMembership:
             if sc_membership(g, 2) is not None:
                 assert sc_membership(g, 3) is not None
 
+    # sizes up to 5 are covered exhaustively above
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(sc_graphs(6, 9, 1))
+    def test_agrees_with_definition_at_height_one_up_to_nine_vertices(self, g):
+        for h in (0, 1):
+            assert (sc_membership(g, h) is not None) == naive_sc_member_2(g, h)
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(sc_graphs(6, 7, 2))
+    def test_agrees_with_definition_at_height_two_up_to_seven_vertices(self, g):
+        assert (sc_membership(g, 2) is not None) == naive_sc_member_2(g, 2)
+
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             sc_membership(Graph(10), 1)
         with pytest.raises(ResourceLimitError):
             sc_membership(Graph(4), 1, cap=3)
+
+
+def _sc_text(t):
+    return None if t is None else sc_to_text(t)
+
+
+def _assert_sc_witnesses_agree(g, depth):
+    got = sc_membership(g, depth)
+    want = exhaustive_sc_membership(g, depth)
+    # SCTree equality compares child order, which sc_to_text sorts away
+    assert got == want, (g, depth)
+    assert _sc_text(got) == _sc_text(want), (g, depth)
+
+
+def _count_canonical_forms(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return canonical_form(g)
+
+    monkeypatch.setattr(solver, "canonical_form", counting)
+    return calls
+
+
+class TestScClosedForms:
+    """Heights 0 and 1 decided in closed form, against the complement-set
+    loop run at every height."""
+
+    def test_every_small_graph_gets_the_exhaustive_witness(self):
+        rng = random_seeded(75)
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = relabel_graph(g, dict(enumerate(perm)))
+                for depth in range(4):
+                    _assert_sc_witnesses_agree(h, depth)
+
+    def test_random_six_vertex_graphs_get_the_exhaustive_witness(self):
+        rng = random_seeded(76)
+        for _ in range(10):
+            _assert_sc_witnesses_agree(random_graph(rng, 6), 2)
+
+    def test_height_two_at_the_default_cap_is_cheap(self, monkeypatch):
+        # not in SC(2); the complement-set loop at height 1 spends 248,067
+        # canonical forms on this graph, the closed form 1
+        calls = _count_canonical_forms(monkeypatch)
+        g = random_graph(random_seeded(99), solver.DEFAULT_SC_CAP)
+        assert sc_membership(g, 2) is None
+        assert len(calls) <= 10
+
+    def test_height_three_on_seven_vertices_is_cheap(self, monkeypatch):
+        # not in SC(3); 114,545 canonical forms without the closed forms,
+        # 163 with them
+        calls = _count_canonical_forms(monkeypatch)
+        g = random_graph(random_seeded(99), 7)
+        assert sc_membership(g, 3) is None
+        assert len(calls) <= 1_000
 
 
 class TestObstructions:
