@@ -3,7 +3,9 @@
 The text format is line based: the first line holds the vertex count, every
 following `u v` line one edge with u < v, and optional trailing lines
 `label v NAME` attach a label to a vertex.  Writers emit edges and labels
-sorted, so a written file re-reads and re-writes to identical bytes.
+sorted, so a written file re-reads and re-writes to identical bytes.  The
+reader refuses a vertex count above MAX_TEXT_VERTICES before it allocates
+anything for the vertices.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import DomainError, ValidationError
+
+MAX_TEXT_VERTICES = 100_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -338,6 +342,10 @@ def graph_from_text(text):
         n = int(lines[0])
     except ValueError:
         raise ValidationError(f"bad vertex count line: {lines[0]!r}") from None
+    if n > MAX_TEXT_VERTICES:
+        raise ValidationError(
+            f"vertex count {n} is above the reader's bound of {MAX_TEXT_VERTICES}"
+        )
     edges = []
     labels = {}
     for ln in lines[1:]:

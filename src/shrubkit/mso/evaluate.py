@@ -1,7 +1,13 @@
-"""Direct formula evaluation over small labeled structures.
+"""Formula evaluation over small labeled structures.
 
-Vertex sets are manipulated as bitmasks; set quantifiers therefore cost
-2^n per nesting level, which the caps keep honest.
+`evaluate` compiles the formula once per call into nested closures and runs
+the outermost one.  Each variable of the assignment and each binder owns one
+slot of a flat list environment.  Names are resolved to slots at compile
+time, with lexical shadowing, so a quantifier loop just writes its own slot.
+Vertex sets are bitmasks; set quantifiers therefore cost 2^n per nesting
+level, which the caps keep honest.  Connectives short-circuit left to right,
+and an atom naming a missing relation, or a node of unknown kind, raises only
+when it is reached.
 """
 
 from __future__ import annotations
@@ -96,8 +102,8 @@ def evaluate(
             f"set quantifier nesting cap is {max_set_quantifiers}, got {rank}"
         )
 
-    fo_env = {}
-    set_env = {}
+    env = []
+    scope = {}
     for name, value in (assignment or {}).items():
         if name and name[0].isupper():
             mask = 0
@@ -105,65 +111,91 @@ def evaluate(
                 if not 0 <= v < n:
                     raise DomainError(f"assignment for {name} leaves the domain")
                 mask |= 1 << v
-            set_env[name] = mask
-        else:
-            if not 0 <= value < n:
-                raise DomainError(f"assignment for {name} leaves the domain")
-            fo_env[name] = value
+            value = mask
+        elif not 0 <= value < n:
+            raise DomainError(f"assignment for {name} leaves the domain")
+        scope[name] = len(env)
+        env.append(value)
 
+    # a lower-case name can only be assigned a vertex, an upper-case one a set
     free_fo, free_set = free_vars(formula)
-    missing = (free_fo - fo_env.keys()) | (free_set - set_env.keys())
+    missing = (free_fo | free_set) - scope.keys()
     if missing:
         raise DomainError(
             "unassigned free variables: " + ", ".join(sorted(missing))
         )
 
-    graph = s.graph
+    has_edge = s.graph.has_edge
+    vertex_labels = s.graph.vertex_labels
     relations = s.relations
-    full = 1 << n
+    vertices = range(n)
+    subsets = range(1 << n)
 
-    def ev(f, fo, sets):
+    def compile_(f, scope):
         t = type(f)
         if t is TrueConst:
-            return True
+            return lambda: True
         if t is FalseConst:
-            return False
-        if t is Edge:
-            return graph.has_edge(fo[f.x], fo[f.y])
-        if t is Eq:
-            return fo[f.x] == fo[f.y]
-        if t is InSet:
-            return bool(sets[f.var] >> fo[f.x] & 1)
-        if t is ModCount:
-            return sets[f.var].bit_count() % f.b == f.a
-        if t is HasLabel:
-            return f.label in graph.vertex_labels(fo[f.x])
-        if t is RelAtom:
-            if f.rel not in relations:
-                raise DomainError(f"structure has no relation {f.rel!r}")
-            return (fo[f.x], fo[f.y]) in relations[f.rel]
+            return lambda: False
         if t is Not:
-            return not ev(f.body, fo, sets)
-        if t is And:
-            return ev(f.left, fo, sets) and ev(f.right, fo, sets)
-        if t is Or:
-            return ev(f.left, fo, sets) or ev(f.right, fo, sets)
-        if t is Implies:
-            return not ev(f.left, fo, sets) or ev(f.right, fo, sets)
-        if t is Iff:
-            return ev(f.left, fo, sets) == ev(f.right, fo, sets)
-        if t is ExistsVertex:
-            return any(ev(f.body, {**fo, f.var: v}, sets) for v in range(n))
-        if t is AllVertex:
-            return all(ev(f.body, {**fo, f.var: v}, sets) for v in range(n))
-        if t is ExistsSet:
-            return any(
-                ev(f.body, fo, {**sets, f.var: mask}) for mask in range(full)
-            )
-        if t is AllSet:
-            return all(
-                ev(f.body, fo, {**sets, f.var: mask}) for mask in range(full)
-            )
-        raise ValidationError(f"unknown formula node {f!r}")
+            body = compile_(f.body, scope)
+            return lambda: not body()
+        if t in (And, Or, Implies, Iff):
+            left, right = compile_(f.left, scope), compile_(f.right, scope)
+            if t is And:
+                return lambda: left() and right()
+            if t is Or:
+                return lambda: left() or right()
+            if t is Implies:
+                return lambda: not left() or right()
+            return lambda: left() == right()
+        if t in (ExistsVertex, AllVertex, ExistsSet, AllSet):
+            slot = len(env)
+            env.append(None)
+            body = compile_(f.body, {**scope, f.var: slot})
+            values = vertices if t in (ExistsVertex, AllVertex) else subsets
 
-    return ev(formula, fo_env, set_env)
+            def exists():
+                for value in values:
+                    env[slot] = value
+                    if body():
+                        return True
+                return False
+
+            def forall():
+                for value in values:
+                    env[slot] = value
+                    if not body():
+                        return False
+                return True
+
+            return exists if t in (ExistsVertex, ExistsSet) else forall
+        if t is Edge:
+            i, j = scope[f.x], scope[f.y]
+            return lambda: has_edge(env[i], env[j])
+        if t is Eq:
+            i, j = scope[f.x], scope[f.y]
+            return lambda: env[i] == env[j]
+        if t is InSet:
+            i, k = scope[f.x], scope[f.var]
+            return lambda: bool(env[k] >> env[i] & 1)
+        if t is ModCount:
+            k, a, b = scope[f.var], f.a, f.b
+            return lambda: env[k].bit_count() % b == a
+        if t is HasLabel:
+            i, label = scope[f.x], f.label
+            return lambda: label in vertex_labels(env[i])
+        if t is RelAtom and f.rel in relations:
+            i, j, pairs = scope[f.x], scope[f.y], relations[f.rel]
+            return lambda: (env[i], env[j]) in pairs
+        if t is RelAtom:
+            error = DomainError(f"structure has no relation {f.rel!r}")
+        else:
+            error = ValidationError(f"unknown formula node {f!r}")
+
+        def fail():
+            raise error
+
+        return fail
+
+    return compile_(formula, scope)()

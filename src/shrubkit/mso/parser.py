@@ -6,17 +6,23 @@ Grammar, loosest first:
     implied  ::= clause ( "->" implied )?
     clause   ::= term ( "|" term )*
     term     ::= factor ( "&" factor )*
-    factor   ::= "!" factor | quantifier | atom
+    factor   ::= "!" factor | quantifier | "(" formula ")" | atom
     quantifier ::= ("ex1" | "all1" | "ex2" | "all2") VAR "." formula
-    atom     ::= "true" | "false" | "(" formula ")"
+    atom     ::= "true" | "false"
                | "edge" "(" fo "," fo ")" | "mod" "(" NUM "," NUM "," SET ")"
                | "label_"NAME "(" fo ")" | "rel_"NAME "(" fo "," fo ")"
                | fo "=" fo | fo "in" SET
+
+A formula tree may be at most MAX_NESTING levels high, and the parser at most
+MAX_NESTING parentheses, "!"s, quantifiers and "->"s deep.  Deeper input is
+refused with a FormulaParseError, so neither the parser nor any recursive walk
+of the tree, such as the evaluator's closures, runs out of stack.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from ..errors import FormulaParseError
 from .formulas import (
@@ -43,6 +49,8 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)"
     r"|(?P<iff><->)|(?P<implies>->)|(?P<sym>[().,=!&|]))"
 )
+
+MAX_NESTING = 100
 
 _KEYWORDS = {"ex1", "all1", "ex2", "all2", "in", "true", "false", "edge", "mod"}
 
@@ -78,6 +86,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -116,6 +125,23 @@ class _Parser:
         self.take()
         return value
 
+    def nested(self, parse, tok):
+        """parse() one level further in; refused past MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"formula nests deeper than {MAX_NESTING} levels", tok)
+        out = parse()
+        self.depth -= 1
+        return out
+
+    def node(self, tok, build, *parts):
+        """(build(*nodes), height) over (node, height) parts; refused past
+        MAX_NESTING."""
+        height = 1 + max(h for _, h in parts)
+        if height > MAX_NESTING:
+            self.fail(f"formula nests deeper than {MAX_NESTING} levels", tok)
+        return build(*(f for f, _ in parts)), height
+
     def number(self):
         kind, value, _ = self.peek()
         if kind != "num":
@@ -123,54 +149,54 @@ class _Parser:
         self.take()
         return int(value)
 
+    # formula() down to factor() return (node, height) pairs; atoms have height 0
     def formula(self):
         out = self.implied()
-        while True:
-            kind, _, _ = self.peek()
-            if kind == "iff":
-                self.take()
-                out = Iff(out, self.implied())
-            else:
-                return out
+        while self.peek()[0] == "iff":
+            tok = self.take()
+            out = self.node(tok, Iff, out, self.implied())
+        return out
 
     def implied(self):
         left = self.clause()
         if self.peek()[0] == "implies":
-            self.take()
-            return Implies(left, self.implied())
+            tok = self.take()
+            return self.node(tok, Implies, left, self.nested(self.implied, tok))
         return left
 
     def clause(self):
         out = self.term()
-        while self.eat_sym("|"):
-            out = Or(out, self.term())
+        while self.peek()[:2] == ("sym", "|"):
+            tok = self.take()
+            out = self.node(tok, Or, out, self.term())
         return out
 
     def term(self):
         out = self.factor()
-        while self.eat_sym("&"):
-            out = And(out, self.factor())
+        while self.peek()[:2] == ("sym", "&"):
+            tok = self.take()
+            out = self.node(tok, And, out, self.factor())
         return out
 
     def factor(self):
+        tok = self.peek()
         if self.eat_sym("!"):
-            return Not(self.factor())
-        kind, value, _ = self.peek()
+            return self.node(tok, Not, self.nested(self.factor, tok))
+        kind, value, _ = tok
         if kind == "ident" and value in _QUANTIFIERS:
             self.take()
             cls, want_set = _QUANTIFIERS[value]
             var = self.variable(want_set)
             self.expect_sym(".")
-            return cls(var, self.formula())
-        return self.atom()
+            return self.node(tok, partial(cls, var), self.nested(self.formula, tok))
+        if self.eat_sym("("):
+            out = self.nested(self.formula, tok)
+            self.expect_sym(")")
+            return out
+        return self.atom(), 0
 
     def atom(self):
         kind, value, tok_pos = self.peek()
-        if kind == "sym" and value == "(":
-            self.take()
-            out = self.formula()
-            self.expect_sym(")")
-            return out
         if kind != "ident":
             self.fail("expected a formula")
         if value == "true":
@@ -241,6 +267,6 @@ class _Parser:
 def parse_formula(text):
     """Parse text into a Formula; errors carry the offending position."""
     parser = _Parser(text)
-    out = parser.formula()
+    out, _ = parser.formula()
     parser.done()
     return out

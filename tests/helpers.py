@@ -280,7 +280,11 @@ def exhaustive_sc_membership(g, depth):
 
 
 def reference_evaluate(structure, formula, fo=None, sets=None):
-    """Direct-recursion evaluator over explicit frozensets, no bitmasks."""
+    """Direct-recursion evaluator over explicit frozensets.
+
+    Subsets are listed in the evaluator's order, the binary count in which
+    vertex 0 toggles fastest, so that both short-circuit at the same point.
+    """
     if isinstance(structure, Graph):
         g, rels = structure, {}
     else:
@@ -288,8 +292,8 @@ def reference_evaluate(structure, formula, fo=None, sets=None):
     fo = dict(fo or {})
     sets = dict(sets or {})
     verts = list(range(g.n))
-    subsets = [frozenset(c) for r in range(g.n + 1)
-               for c in itertools.combinations(verts, r)]
+    subsets = [frozenset(v for v in verts if count >> v & 1)
+               for count in range(2 ** g.n)]
 
     def ev(f, fo, sets):
         t = type(f)

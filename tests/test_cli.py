@@ -261,6 +261,20 @@ class TestMso:
         code, _, err = run(["mso", "check", "--graph", g, "--formula", open_f])
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("text", [
+        "(" * 170 + "true" + ")" * 170,
+        "!" * 1000 + "true",
+        "ex1 x. " * 500 + "true",
+        " & ".join(["true"] * 2000),
+    ], ids=["parens-170", "not-1000", "ex1-500", "and-2000"])
+    def test_check_refuses_deep_formulas(self, tmp_path, text):
+        g = write(tmp_path / "k3.g", graph_to_text(make_clique(3)))
+        f = write(tmp_path / "deep.mso", text)
+        code, out, err = run(["mso", "check", "--graph", g, "--formula", f])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "internal error" not in err
+        assert "nests deeper" in err
+
     def test_interpret_complement(self, tmp_path):
         g = write(tmp_path / "p2.g", graph_to_text(make_path(2)))
         out_file = tmp_path / "c.g"

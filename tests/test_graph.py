@@ -1,9 +1,14 @@
 """Graph container, text format, isomorphism and twin machinery."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shrubkit
 from shrubkit import (
     Graph,
     ValidationError,
@@ -22,6 +27,7 @@ from shrubkit import (
     relabel_graph,
     twin_partition,
 )
+from shrubkit.graph import MAX_TEXT_VERTICES
 
 from .helpers import random_graph, random_seeded
 
@@ -66,6 +72,42 @@ def test_text_rejects_garbage():
     for bad in ("", "x", "2\n0 0", "2\n0 3", "1\nlabel 5 a", "2\n0 1 2"):
         with pytest.raises(ValidationError):
             graph_from_text(bad)
+
+
+# Run in a child under its own address-space limit, so that a reader which
+# allocates before it checks fails there with MemoryError instead of taking
+# the machine's memory.
+HUGE_READ = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+from shrubkit import ValidationError
+from shrubkit.cli import main
+from shrubkit.graph import graph_from_text
+try:
+    graph_from_text("99999999999")
+except ValidationError as exc:
+    print("refused:", exc)
+sys.exit(main(["solve", "td", "--graph", sys.argv[1]]))
+"""
+
+
+def test_huge_vertex_count_is_refused_before_allocation(tmp_path):
+    pytest.importorskip("resource")
+    path = tmp_path / "huge.g"
+    path.write_text("99999999999\n0 1\n", encoding="utf-8")
+    src = str(Path(shrubkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", HUGE_READ, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.startswith("refused: vertex count 99999999999")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and "internal error" not in done.stderr
+
+
+def test_vertex_count_bound():
+    assert graph_from_text(f"{MAX_TEXT_VERTICES}\n0 1\n").n == MAX_TEXT_VERTICES
+    with pytest.raises(ValidationError, match="above the reader's bound"):
+        graph_from_text(f"{MAX_TEXT_VERTICES + 1}\n")
 
 
 def test_components():

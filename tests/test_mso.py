@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shrubkit import (
     DomainError,
@@ -17,16 +19,24 @@ from shrubkit import (
     tm_membership,
 )
 from shrubkit.mso import (
+    AllSet,
     AllVertex,
     And,
     Edge,
     Eq,
     ExistsSet,
     ExistsVertex,
+    FalseConst,
+    Formula,
+    HasLabel,
+    Iff,
+    Implies,
     InSet,
     Interpretation,
     ModCount,
     Not,
+    Or,
+    RelAtom,
     RelStructure,
     Transduction,
     TrueConst,
@@ -45,6 +55,7 @@ from shrubkit.mso import (
     substitute_fo,
     transduction_images,
 )
+from shrubkit.mso.parser import MAX_NESTING
 
 from .helpers import (
     random_formula,
@@ -82,6 +93,42 @@ CORPUS = [
     "ex1 x. (ex1 y. edge(x, y) <-> all1 y. (x = y | edge(x, y)))",
     "all1 x. ex1 y. (!(x = y) & !edge(x, y)) -> ex2 X. mod(1, 2, X)",
 ]
+
+
+FO_NAMES = ("x", "y", "z")
+SET_NAMES = ("X", "Y")
+
+_fo = st.sampled_from(FO_NAMES)
+_set = st.sampled_from(SET_NAMES)
+_atoms = st.one_of(
+    st.just(TrueConst()),
+    st.just(FalseConst()),
+    st.builds(Edge, _fo, _fo),
+    st.builds(Eq, _fo, _fo),
+    st.builds(InSet, _fo, _set),
+    st.builds(lambda b, a, var: ModCount(a % b, b, var),
+              st.sampled_from((2, 3)), st.integers(0, 2), _set),
+    st.builds(HasLabel, st.sampled_from(("a", "b")), _fo),
+    st.builds(RelAtom, st.just("near"), _fo, _fo),
+)
+
+
+def _compound(sub):
+    return st.one_of(
+        st.builds(Not, sub),
+        *(st.builds(op, sub, sub) for op in (And, Or, Implies, Iff)),
+        *(st.builds(q, _fo, sub) for q in (ExistsVertex, AllVertex)),
+        *(st.builds(q, _set, sub) for q in (ExistsSet, AllSet)),
+    )
+
+
+# binders draw from three first-order and two set names, so they shadow
+# each other and the free names the assignment gives values to
+FORMULAS = st.recursive(_atoms, _compound, max_leaves=10)
+
+
+class Mystery(Formula):
+    """A node kind the evaluator does not know."""
 
 
 class TestFormulaBasics:
@@ -162,6 +209,36 @@ class TestParser:
         except FormulaParseError as exc:
             assert exc.position == 7
 
+    def test_nesting_at_the_bound_parses_and_evaluates(self):
+        deep = [
+            "(" * MAX_NESTING + "true" + ")" * MAX_NESTING,
+            "!" * MAX_NESTING + "true",
+            "ex1 x. " * MAX_NESTING + "true",
+            " & ".join(["true"] * (MAX_NESTING + 1)),
+            " -> ".join(["true"] * (MAX_NESTING + 1)),
+        ]
+        for text in deep:
+            phi = parse_formula(text)
+            assert evaluate(Graph(1), phi)
+            assert parse_formula(format_formula(phi)) == phi
+
+    def test_nesting_past_the_bound_is_a_parse_error(self):
+        cases = {
+            "(" * 170 + "true" + ")" * 170: MAX_NESTING,
+            "(" * (MAX_NESTING + 1) + "true" + ")" * (MAX_NESTING + 1): MAX_NESTING,
+            "!" * 1000 + "true": MAX_NESTING,
+            "!" * (MAX_NESTING + 1) + "true": MAX_NESTING,
+            "ex1 x. " * (MAX_NESTING + 1) + "true": 7 * MAX_NESTING,
+            # chains parse in a loop but still build a tree this high
+            " & ".join(["true"] * (MAX_NESTING + 2)): 7 * (MAX_NESTING + 1) - 2,
+            " | ".join(["true"] * 2000): 7 * (MAX_NESTING + 1) - 2,
+            " -> ".join(["true"] * 5000): 8 * MAX_NESTING + 5,
+        }
+        for text, position in cases.items():
+            with pytest.raises(FormulaParseError, match="nests deeper") as info:
+                parse_formula(text)
+            assert info.value.position == position
+
     def test_keywords_are_not_variables(self):
         with pytest.raises(FormulaParseError):
             parse_formula("ex1 edge. true")
@@ -225,7 +302,6 @@ class TestEvaluate:
             va, vb = evaluate(g, a), evaluate(g, b)
             assert evaluate(g, Not(a)) == (not va)
             assert evaluate(g, And(a, b)) == (va and vb)
-            from shrubkit.mso import Iff, Implies, Or
             assert evaluate(g, Or(a, b)) == (va or vb)
             assert evaluate(g, Implies(a, b)) == ((not va) or vb)
             assert evaluate(g, Iff(a, b)) == (va == vb)
@@ -259,6 +335,96 @@ class TestEvaluate:
             RelStructure(Graph(2), {"r": [(0, 5)]})
         with pytest.raises(ValidationError):
             RelStructure(Graph(2), {"": [(0, 1)]})
+
+    def test_shadowed_binders(self):
+        g = Graph(3, [(0, 1)])
+        phi = parse_formula("ex1 x. (edge(x, y) & ex1 x. x in X)")
+        assert evaluate(g, phi, {"y": 1, "X": {2}})
+        assert not evaluate(g, phi, {"y": 2, "X": {2}})
+        assert not evaluate(g, phi, {"y": 1, "X": set()})
+        # the inner x is rebound, then the outer one is read again
+        phi = parse_formula("ex1 x. ((ex1 x. edge(x, y)) & x = y)")
+        assert evaluate(g, phi, {"y": 0})
+        assert not evaluate(g, phi, {"y": 2})
+        # a binder that shadows a free name leaves the free value alone
+        phi = parse_formula("(all1 x. ex1 y. !(x = y)) & x = y")
+        assert evaluate(g, phi, {"x": 2, "y": 2})
+        assert not evaluate(g, phi, {"x": 1, "y": 2})
+        phi = parse_formula("(ex2 X. mod(0, 2, X) & ex1 x. x in X) & !ex1 x. x in X")
+        assert evaluate(g, phi, {"X": set()})
+        assert not evaluate(g, phi, {"X": {1}})
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(phi=FORMULAS, data=st.data())
+    def test_agrees_with_reference_under_shadowing(self, phi, data):
+        assume(set_quantifier_rank(phi) <= 2)
+        n = data.draw(st.integers(0, 4))
+        free_fo, _ = free_vars(phi)
+        assume(n or not free_fo)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = [p for p in pairs if data.draw(st.booleans())]
+        near = [p for p in pairs if data.draw(st.booleans())]
+        labels = {v: data.draw(st.sets(st.sampled_from(("a", "b"))))
+                  for v in range(n)}
+        s = RelStructure(Graph(n, edges, labels), {"near": near})
+        vertex = st.integers(0, n - 1)
+        fo = {name: data.draw(vertex) for name in FO_NAMES} if n else {}
+        sets = {name: frozenset(data.draw(st.sets(vertex))) if n else frozenset()
+                for name in SET_NAMES}
+        want = reference_evaluate(s, phi, fo, sets)
+        assert evaluate(s, phi, {**fo, **sets}) == want
+
+    def test_edge_tests_match_the_reference(self, monkeypatch):
+        # both short-circuit in the same order, so they test the same pairs
+        count = [0]
+        has_edge = Graph.has_edge
+
+        def counted(g, u, v):
+            count[0] += 1
+            return has_edge(g, u, v)
+
+        monkeypatch.setattr(Graph, "has_edge", counted)
+        phis = [parse_formula(t) for t in CORPUS]
+        total = 0
+        for n in range(1, 5):
+            for g in enumerate_graphs(n):
+                for phi in phis:
+                    count[0] = 0
+                    evaluate(g, phi)
+                    got = count[0]
+                    count[0] = 0
+                    reference_evaluate(g, phi)
+                    assert got == count[0], (g, format_formula(phi))
+                    total += got
+        assert total > 0
+
+    def test_missing_relation_raises_only_when_reached(self):
+        s = RelStructure(make_path(2), {"near": [(0, 1)]})
+        assert not evaluate(s, parse_formula("ex1 x. (false & rel_far(x, x))"))
+        assert evaluate(s, parse_formula("true | rel_far(x, y)"), {"x": 0, "y": 1})
+        with pytest.raises(DomainError, match="no relation 'far'"):
+            evaluate(s, parse_formula("ex1 x. rel_far(x, x)"))
+        with pytest.raises(DomainError, match="no relation 'far'"):
+            evaluate(s, parse_formula("ex1 x. (rel_near(x, x) | rel_far(x, x))"))
+
+    def test_unknown_node_raises_only_when_reached(self):
+        g = make_path(2)
+        assert evaluate(g, Or(TrueConst(), Mystery()))
+        assert not evaluate(g, And(FalseConst(), Mystery()))
+        assert not evaluate(Graph(0), ExistsVertex("x", Mystery()))
+        assert evaluate(g, Implies(ExistsVertex("x", Not(Eq("x", "x"))), Mystery()))
+        for phi in (Mystery(), And(TrueConst(), Mystery()),
+                    AllSet("X", Mystery()), Iff(FalseConst(), Mystery())):
+            with pytest.raises(ValidationError, match="unknown formula node"):
+                evaluate(g, phi)
+
+    def test_empty_domain(self):
+        empty = Graph(0)
+        assert evaluate(empty, parse_formula("all1 x. false"))
+        assert not evaluate(empty, parse_formula("ex1 x. true"))
+        assert evaluate(empty, parse_formula("ex2 X. mod(0, 2, X)"))
+        assert not evaluate(empty, parse_formula("ex2 X. mod(1, 2, X)"))
+        assert evaluate(empty, parse_formula("all2 X. all1 x. !(x in X)"))
 
 
 class TestInterpretation:
