@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .graph import Graph
 
 

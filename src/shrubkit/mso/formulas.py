@@ -7,24 +7,55 @@ uppercase one.  Connective precedence from loosest to tightest is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from math import lcm
 
 from ..errors import ValidationError
 
+MAX_NESTING = 100
+
 
 def _check_fo(name):
-    if not name or not name[0].islower():
+    if not isinstance(name, str) or not name[:1].islower():
         raise ValidationError(f"{name!r} is not a first-order variable")
 
 
 def _check_set(name):
-    if not name or not name[0].isupper():
+    if not isinstance(name, str) or not name[:1].isupper():
         raise ValidationError(f"{name!r} is not a set variable")
 
 
+@dataclass(frozen=True, slots=True)
 class Formula:
-    __slots__ = ()
+    """A formula node.  Each node kind names its first-order variable fields
+    in _FO, its set variable fields in _SETS and its subformula fields in
+    _PARTS; a quantifier's variable binds in its body.  The height is 0 at an
+    atom and one more than the highest part; a node higher than MAX_NESTING is
+    refused, so a recursive walk of any formula takes at most MAX_NESTING
+    nested calls."""
+
+    height: int = field(init=False, compare=False, repr=False)
+
+    _FO = ()
+    _SETS = ()
+    _PARTS = ()
+
+    def __post_init__(self):
+        for name in self._FO:
+            _check_fo(getattr(self, name))
+        for name in self._SETS:
+            _check_set(getattr(self, name))
+        height = 0
+        for name in self._PARTS:
+            part = getattr(self, name)
+            if not isinstance(part, Formula):
+                raise ValidationError(f"{part!r} is not a formula")
+            height = max(height, part.height + 1)
+        if height > MAX_NESTING:
+            raise ValidationError(
+                f"formula nests deeper than {MAX_NESTING} levels"
+            )
+        object.__setattr__(self, "height", height)
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,32 +72,26 @@ class FalseConst(Formula):
 class Edge(Formula):
     x: str
     y: str
-
-    def __post_init__(self):
-        _check_fo(self.x)
-        _check_fo(self.y)
+    _FO = ("x", "y")
 
 
 @dataclass(frozen=True, slots=True)
 class Eq(Formula):
     x: str
     y: str
-
-    def __post_init__(self):
-        _check_fo(self.x)
-        _check_fo(self.y)
+    _FO = ("x", "y")
 
 
 @dataclass(frozen=True, slots=True)
 class InSet(Formula):
     x: str
     var: str
-
-    def __post_init__(self):
-        _check_fo(self.x)
-        _check_set(self.var)
+    _FO = ("x",)
+    _SETS = ("var",)
 
 
+# zero-argument super() fails in a slotted dataclass on CPython 3.11, hence
+# the explicit Formula.__post_init__(self) below
 @dataclass(frozen=True, slots=True)
 class ModCount(Formula):
     """|X| is congruent to a modulo b."""
@@ -74,9 +99,10 @@ class ModCount(Formula):
     a: int
     b: int
     var: str
+    _SETS = ("var",)
 
     def __post_init__(self):
-        _check_set(self.var)
+        Formula.__post_init__(self)
         if not 0 <= self.a < self.b:
             raise ValidationError(
                 f"mod({self.a}, {self.b}, {self.var}) needs 0 <= a < b"
@@ -87,11 +113,12 @@ class ModCount(Formula):
 class HasLabel(Formula):
     label: str
     x: str
+    _FO = ("x",)
 
     def __post_init__(self):
         if not self.label:
             raise ValidationError("label name must be non-empty")
-        _check_fo(self.x)
+        Formula.__post_init__(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,115 +126,115 @@ class RelAtom(Formula):
     rel: str
     x: str
     y: str
+    _FO = ("x", "y")
 
     def __post_init__(self):
         if not self.rel:
             raise ValidationError("relation name must be non-empty")
-        _check_fo(self.x)
-        _check_fo(self.y)
+        Formula.__post_init__(self)
 
 
 @dataclass(frozen=True, slots=True)
 class Not(Formula):
     body: Formula
+    _PARTS = ("body",)
 
 
 @dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
+    _PARTS = ("left", "right")
 
 
 @dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
+    _PARTS = ("left", "right")
 
 
 @dataclass(frozen=True, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
+    _PARTS = ("left", "right")
 
 
 @dataclass(frozen=True, slots=True)
 class Iff(Formula):
     left: Formula
     right: Formula
+    _PARTS = ("left", "right")
 
 
 @dataclass(frozen=True, slots=True)
 class ExistsVertex(Formula):
     var: str
     body: Formula
-
-    def __post_init__(self):
-        _check_fo(self.var)
+    _FO = ("var",)
+    _PARTS = ("body",)
 
 
 @dataclass(frozen=True, slots=True)
 class AllVertex(Formula):
     var: str
     body: Formula
-
-    def __post_init__(self):
-        _check_fo(self.var)
+    _FO = ("var",)
+    _PARTS = ("body",)
 
 
 @dataclass(frozen=True, slots=True)
 class ExistsSet(Formula):
     var: str
     body: Formula
-
-    def __post_init__(self):
-        _check_set(self.var)
+    _SETS = ("var",)
+    _PARTS = ("body",)
 
 
 @dataclass(frozen=True, slots=True)
 class AllSet(Formula):
     var: str
     body: Formula
+    _SETS = ("var",)
+    _PARTS = ("body",)
 
-    def __post_init__(self):
-        _check_set(self.var)
 
-
+_ATOM_TEXT = {
+    TrueConst: lambda f: "true",
+    FalseConst: lambda f: "false",
+    Edge: lambda f: f"edge({f.x}, {f.y})",
+    Eq: lambda f: f"{f.x} = {f.y}",
+    InSet: lambda f: f"{f.x} in {f.var}",
+    ModCount: lambda f: f"mod({f.a}, {f.b}, {f.var})",
+    HasLabel: lambda f: f"label_{f.label}({f.x})",
+    RelAtom: lambda f: f"rel_{f.rel}({f.x}, {f.y})",
+}
 _BINARY = {And: " & ", Or: " | ", Implies: " -> ", Iff: " <-> "}
 _FO_QUANT = {ExistsVertex: "ex1", AllVertex: "all1"}
 _SET_QUANT = {ExistsSet: "ex2", AllSet: "all2"}
 _QUANT = {**_FO_QUANT, **_SET_QUANT}
+_KINDS = {*_ATOM_TEXT, Not, *_BINARY, *_QUANT}
 
 
 def free_vars(formula):
     """(first-order frees, set frees) as a pair of frozensets."""
     fo, sets = set(), set()
 
-    def walk(f, bound_fo, bound_set):
-        t = type(f)
-        if t in (Edge, Eq, RelAtom):
-            fo.update({f.x, f.y} - bound_fo)
-        elif t is InSet:
-            if f.x not in bound_fo:
-                fo.add(f.x)
-            if f.var not in bound_set:
-                sets.add(f.var)
-        elif t is ModCount:
-            if f.var not in bound_set:
-                sets.add(f.var)
-        elif t is HasLabel:
-            if f.x not in bound_fo:
-                fo.add(f.x)
-        elif t is Not:
-            walk(f.body, bound_fo, bound_set)
-        elif t in _BINARY:
-            walk(f.left, bound_fo, bound_set)
-            walk(f.right, bound_fo, bound_set)
-        elif t in _FO_QUANT:
-            walk(f.body, bound_fo | {f.var}, bound_set)
-        elif t in _SET_QUANT:
-            walk(f.body, bound_fo, bound_set | {f.var})
+    def walk(f, bound):
+        # a node with parts binds its own variables in them; names of the two
+        # sorts never clash, so one bound set serves both
+        for free, names in ((fo, f._FO), (sets, f._SETS)):
+            for name in names:
+                var = getattr(f, name)
+                if f._PARTS:
+                    bound = bound | {var}
+                elif var not in bound:
+                    free.add(var)
+        for name in f._PARTS:
+            walk(getattr(f, name), bound)
 
-    walk(formula, set(), set())
+    walk(formula, frozenset())
     return frozenset(fo), frozenset(sets)
 
 
@@ -221,68 +248,50 @@ def all_var_names(formula):
     names = set()
 
     def walk(f):
-        t = type(f)
-        if t in (Edge, Eq, RelAtom):
-            names.update((f.x, f.y))
-        elif t is InSet:
-            names.update((f.x, f.var))
-        elif t is ModCount:
-            names.add(f.var)
-        elif t is HasLabel:
-            names.add(f.x)
-        elif t is Not:
-            walk(f.body)
-        elif t in _BINARY:
-            walk(f.left)
-            walk(f.right)
-        elif t in _QUANT:
-            names.add(f.var)
-            walk(f.body)
+        for name in f._FO + f._SETS:
+            names.add(getattr(f, name))
+        for name in f._PARTS:
+            walk(getattr(f, name))
 
     walk(formula)
     return names
 
 
 def quantifier_count(formula):
-    t = type(formula)
-    if t is Not:
-        return quantifier_count(formula.body)
-    if t in _BINARY:
-        return quantifier_count(formula.left) + quantifier_count(formula.right)
-    if t in _QUANT:
-        return 1 + quantifier_count(formula.body)
-    return 0
+    count = 1 if type(formula) in _QUANT else 0
+    for name in formula._PARTS:
+        count += quantifier_count(getattr(formula, name))
+    return count
 
 
 def set_quantifier_rank(formula):
     """Deepest nesting of set quantifiers."""
-    t = type(formula)
-    if t is Not:
-        return set_quantifier_rank(formula.body)
-    if t in _BINARY:
-        return max(
-            set_quantifier_rank(formula.left),
-            set_quantifier_rank(formula.right),
-        )
-    if t in _FO_QUANT:
-        return set_quantifier_rank(formula.body)
-    if t in _SET_QUANT:
-        return 1 + set_quantifier_rank(formula.body)
-    return 0
+    deepest = 0
+    for name in formula._PARTS:
+        deepest = max(deepest, set_quantifier_rank(getattr(formula, name)))
+    return deepest + 1 if type(formula) in _SET_QUANT else deepest
 
 
 def mod_lcm(formula):
     """Least common multiple of the moduli appearing in mod atoms (1 if none)."""
-    t = type(formula)
-    if t is ModCount:
+    if type(formula) is ModCount:
         return formula.b
-    if t is Not:
-        return mod_lcm(formula.body)
-    if t in _BINARY:
-        return lcm(mod_lcm(formula.left), mod_lcm(formula.right))
-    if t in _QUANT:
-        return mod_lcm(formula.body)
-    return 1
+    out = 1
+    for name in formula._PARTS:
+        out = lcm(out, mod_lcm(getattr(formula, name)))
+    return out
+
+
+def _rebuild(f, walk, rename=None):
+    """f with walk applied to every part and the first-order variables
+    renamed by the rename dict; a node of unknown kind is refused."""
+    if type(f) not in _KINDS:
+        raise ValidationError(f"unknown formula node {f!r}")
+    rename = rename or {}
+    changes = {name: walk(getattr(f, name)) for name in f._PARTS}
+    for name in f._FO:
+        changes[name] = rename.get(getattr(f, name), getattr(f, name))
+    return replace(f, **changes)
 
 
 def fresh_name_pool(taken):
@@ -303,24 +312,6 @@ def substitute_fo(formula, mapping, taken=None):
 
     def walk(f, env):
         t = type(f)
-        if t in (TrueConst, FalseConst, ModCount):
-            return f
-        if t is Edge:
-            return Edge(env.get(f.x, f.x), env.get(f.y, f.y))
-        if t is Eq:
-            return Eq(env.get(f.x, f.x), env.get(f.y, f.y))
-        if t is RelAtom:
-            return RelAtom(f.rel, env.get(f.x, f.x), env.get(f.y, f.y))
-        if t is InSet:
-            return InSet(env.get(f.x, f.x), f.var)
-        if t is HasLabel:
-            return HasLabel(f.label, env.get(f.x, f.x))
-        if t is Not:
-            return Not(walk(f.body, env))
-        if t in _BINARY:
-            return t(walk(f.left, env), walk(f.right, env))
-        if t in _SET_QUANT:
-            return t(f.var, walk(f.body, env))
         if t in _FO_QUANT:
             env = dict(env)
             if f.var in set(env.values()):
@@ -329,7 +320,7 @@ def substitute_fo(formula, mapping, taken=None):
                 return t(new, walk(f.body, env))
             env.pop(f.var, None)
             return t(f.var, walk(f.body, env))
-        raise ValidationError(f"unknown formula node {f!r}")
+        return _rebuild(f, lambda part: walk(part, env), env)
 
     return walk(formula, dict(mapping))
 
@@ -348,22 +339,8 @@ def format_formula(formula):
 
     def render(f, ctx):
         t = type(f)
-        if t is TrueConst:
-            return "true"
-        if t is FalseConst:
-            return "false"
-        if t is Edge:
-            return f"edge({f.x}, {f.y})"
-        if t is Eq:
-            return f"{f.x} = {f.y}"
-        if t is InSet:
-            return f"{f.x} in {f.var}"
-        if t is ModCount:
-            return f"mod({f.a}, {f.b}, {f.var})"
-        if t is HasLabel:
-            return f"label_{f.label}({f.x})"
-        if t is RelAtom:
-            return f"rel_{f.rel}({f.x}, {f.y})"
+        if t in _ATOM_TEXT:
+            return _ATOM_TEXT[t](f)
         if t is Not:
             s = "!" + render(f.body, _PREC[Not])
         elif t in _BINARY:

@@ -20,17 +20,12 @@ from .formulas import (
     Eq,
     ExistsSet,
     ExistsVertex,
-    FalseConst,
     Formula,
-    HasLabel,
-    Iff,
     Implies,
     InSet,
-    ModCount,
     Not,
     Or,
-    RelAtom,
-    TrueConst,
+    _rebuild,
     all_var_names,
     free_vars,
     fresh_name_pool,
@@ -138,28 +133,18 @@ def rewrite_formula(interp, formula):
 
     def walk(f):
         t = type(f)
-        if t in (TrueConst, FalseConst, Eq, InSet, ModCount, HasLabel, RelAtom):
-            return f
         if t is Edge:
             one = substitute_fo(interp.edge_formula, {xv: f.x, yv: f.y}, taken)
             two = substitute_fo(interp.edge_formula, {xv: f.y, yv: f.x}, taken)
             return And(Not(Eq(f.x, f.y)), Or(one, two))
-        if t is Not:
-            return Not(walk(f.body))
-        if t in (And, Or, Implies, Iff):
-            return t(walk(f.left), walk(f.right))
-        if t is ExistsVertex:
-            return ExistsVertex(f.var, And(domain_at(f.var), walk(f.body)))
-        if t is AllVertex:
-            return AllVertex(f.var, Implies(domain_at(f.var), walk(f.body)))
-        if t in (ExistsSet, AllSet):
+        if t in (ExistsVertex, AllVertex):
+            inside = domain_at(f.var)
+        elif t in (ExistsSet, AllSet):
             w = next(pool)
-            inside = AllVertex(
-                w, Implies(InSet(w, f.var), domain_at(w))
-            )
-            if t is ExistsSet:
-                return ExistsSet(f.var, And(inside, walk(f.body)))
-            return AllSet(f.var, Implies(inside, walk(f.body)))
-        raise ValidationError(f"unknown formula node {f!r}")
+            inside = AllVertex(w, Implies(InSet(w, f.var), domain_at(w)))
+        else:
+            return _rebuild(f, walk)
+        guard = And if t in (ExistsVertex, ExistsSet) else Implies
+        return t(f.var, guard(inside, walk(f.body)))
 
     return walk(formula)

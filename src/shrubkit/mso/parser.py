@@ -13,10 +13,12 @@ Grammar, loosest first:
                | "label_"NAME "(" fo ")" | "rel_"NAME "(" fo "," fo ")"
                | fo "=" fo | fo "in" SET
 
-A formula tree may be at most MAX_NESTING levels high, and the parser at most
-MAX_NESTING parentheses, "!"s, quantifiers and "->"s deep.  Deeper input is
-refused with a FormulaParseError, so neither the parser nor any recursive walk
-of the tree, such as the evaluator's closures, runs out of stack.
+A formula tree may be at most MAX_NESTING levels high, a bound the node
+constructors enforce, and the parser goes at most MAX_NESTING parentheses,
+"!"s, quantifiers and "->"s deep.  Deeper input is refused with a
+FormulaParseError at the token that crosses the bound, so neither the parser
+nor any recursive walk of the tree, such as the evaluator's closures, runs out
+of stack.
 """
 
 from __future__ import annotations
@@ -24,15 +26,13 @@ from __future__ import annotations
 import re
 from functools import partial
 
-from ..errors import FormulaParseError
+from ..errors import FormulaParseError, ValidationError
 from .formulas import (
-    AllSet,
-    AllVertex,
+    _QUANT,
+    MAX_NESTING,
     And,
     Edge,
     Eq,
-    ExistsSet,
-    ExistsVertex,
     FalseConst,
     HasLabel,
     Iff,
@@ -50,16 +50,9 @@ _TOKEN = re.compile(
     r"|(?P<iff><->)|(?P<implies>->)|(?P<sym>[().,=!&|]))"
 )
 
-MAX_NESTING = 100
-
 _KEYWORDS = {"ex1", "all1", "ex2", "all2", "in", "true", "false", "edge", "mod"}
 
-_QUANTIFIERS = {
-    "ex1": (ExistsVertex, False),
-    "all1": (AllVertex, False),
-    "ex2": (ExistsSet, True),
-    "all2": (AllSet, True),
-}
+_QUANTIFIERS = {word: kind for kind, word in _QUANT.items()}
 
 
 def _tokenize(text):
@@ -135,12 +128,11 @@ class _Parser:
         return out
 
     def node(self, tok, build, *parts):
-        """(build(*nodes), height) over (node, height) parts; refused past
-        MAX_NESTING."""
-        height = 1 + max(h for _, h in parts)
-        if height > MAX_NESTING:
-            self.fail(f"formula nests deeper than {MAX_NESTING} levels", tok)
-        return build(*(f for f, _ in parts)), height
+        """build(*parts); a node higher than MAX_NESTING is refused at tok."""
+        try:
+            return build(*parts)
+        except ValidationError as exc:
+            raise FormulaParseError(str(exc), tok[2]) from None
 
     def number(self):
         kind, value, _ = self.peek()
@@ -149,7 +141,6 @@ class _Parser:
         self.take()
         return int(value)
 
-    # formula() down to factor() return (node, height) pairs; atoms have height 0
     def formula(self):
         out = self.implied()
         while self.peek()[0] == "iff":
@@ -185,20 +176,32 @@ class _Parser:
         kind, value, _ = tok
         if kind == "ident" and value in _QUANTIFIERS:
             self.take()
-            cls, want_set = _QUANTIFIERS[value]
-            var = self.variable(want_set)
+            quantifier = _QUANTIFIERS[value]
+            var = self.variable(want_set=bool(quantifier._SETS))
             self.expect_sym(".")
-            return self.node(tok, partial(cls, var), self.nested(self.formula, tok))
+            body = self.nested(self.formula, tok)
+            return self.node(tok, partial(quantifier, var), body)
         if self.eat_sym("("):
             out = self.nested(self.formula, tok)
             self.expect_sym(")")
             return out
-        return self.atom(), 0
+        return self.atom()
+
+    def arguments(self, *parse):
+        """The values after an atom's name: "(" parse[0]() "," ... ")"."""
+        self.expect_sym("(")
+        out = [parse[0]()]
+        for parse_next in parse[1:]:
+            self.expect_sym(",")
+            out.append(parse_next())
+        self.expect_sym(")")
+        return out
 
     def atom(self):
         kind, value, tok_pos = self.peek()
         if kind != "ident":
             self.fail("expected a formula")
+        fo, sets = partial(self.variable, False), partial(self.variable, True)
         if value == "true":
             self.take()
             return TrueConst()
@@ -207,21 +210,10 @@ class _Parser:
             return FalseConst()
         if value == "edge":
             self.take()
-            self.expect_sym("(")
-            x = self.variable(False)
-            self.expect_sym(",")
-            y = self.variable(False)
-            self.expect_sym(")")
-            return Edge(x, y)
+            return Edge(*self.arguments(fo, fo))
         if value == "mod":
             self.take()
-            self.expect_sym("(")
-            a = self.number()
-            self.expect_sym(",")
-            b = self.number()
-            self.expect_sym(",")
-            var = self.variable(True)
-            self.expect_sym(")")
+            a, b, var = self.arguments(self.number, self.number, sets)
             if not a < b:
                 self.fail(f"mod needs 0 <= a < b, got a={a}, b={b}",
                           ("", "", tok_pos))
@@ -231,32 +223,24 @@ class _Parser:
             if not name:
                 self.fail("label_ needs a label name")
             self.take()
-            self.expect_sym("(")
-            x = self.variable(False)
-            self.expect_sym(")")
-            return HasLabel(name, x)
+            return HasLabel(name, *self.arguments(fo))
         if value.startswith("rel_"):
             name = value[len("rel_"):]
             if not name:
                 self.fail("rel_ needs a relation name")
             self.take()
-            self.expect_sym("(")
-            x = self.variable(False)
-            self.expect_sym(",")
-            y = self.variable(False)
-            self.expect_sym(")")
-            return RelAtom(name, x, y)
+            return RelAtom(name, *self.arguments(fo, fo))
         if value in _KEYWORDS:
             self.fail(f"unexpected keyword {value!r}")
         if value[0].isupper():
             self.fail("a set variable cannot stand alone")
-        x = self.variable(False)
+        x = fo()
         if self.eat_sym("="):
-            return Eq(x, self.variable(False))
+            return Eq(x, fo())
         nk, nv, _ = self.peek()
         if nk == "ident" and nv == "in":
             self.take()
-            return InSet(x, self.variable(True))
+            return InSet(x, sets())
         self.fail("expected '=' or 'in' after a first-order variable")
 
     def done(self):
@@ -267,6 +251,6 @@ class _Parser:
 def parse_formula(text):
     """Parse text into a Formula; errors carry the offending position."""
     parser = _Parser(text)
-    out, _ = parser.formula()
+    out = parser.formula()
     parser.done()
     return out

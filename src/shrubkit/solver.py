@@ -308,18 +308,9 @@ def sc_membership(g, depth, cap=DEFAULT_SC_CAP):
             flipped = complement_on_subset(hc, x)
             children = []
             for comp in components(flipped):
-                if len(comp) == n:
-                    # single part equal to the whole: recursing would loop
-                    sub_witness = None
-                    if x:
-                        sub, ids = induced_subgraph(flipped, comp)
-                        sub_witness = member(sub, budget - 1)
-                        if sub_witness is not None:
-                            children.append(
-                                _relabel_sc(sub_witness, dict(enumerate(ids)))
-                            )
-                    if sub_witness is None:
-                        children = None
+                if len(comp) == n and not x:
+                    # one part, the unchanged whole: recursing would loop
+                    children = None
                     break
                 sub, ids = induced_subgraph(flipped, comp)
                 sub_witness = member(sub, budget - 1)

@@ -8,11 +8,15 @@ two exceptions are the unpruned tree-model chain walk, which reuses the
 solver's coloring search and model assembly, and the exhaustive SC-tree
 recursion, which reuses the canonical form and the graph operations; both
 exist so that their witnesses can be compared with the solver's exactly.
+The formula analyses (free variables, names, quantifier counts, moduli and
+first-order substitution) are written here with one case per node kind,
+against the package's single walks over each kind's field table.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from shrubkit.graph import (
@@ -334,6 +338,152 @@ def reference_evaluate(structure, formula, fo=None, sets=None):
         raise AssertionError(f"unhandled node {t}")
 
     return ev(formula, fo, sets)
+
+
+_BINARY_KINDS = (And, Or, Implies, Iff)
+_FO_QUANTIFIERS = (ExistsVertex, AllVertex)
+_SET_QUANTIFIERS = (ExistsSet, AllSet)
+
+
+def reference_free_vars(formula):
+    """free_vars by one hand-written case per node kind."""
+    fo, sets = set(), set()
+
+    def walk(f, bound_fo, bound_set):
+        t = type(f)
+        if t in (Edge, Eq, RelAtom):
+            fo.update({f.x, f.y} - bound_fo)
+        elif t is InSet:
+            if f.x not in bound_fo:
+                fo.add(f.x)
+            if f.var not in bound_set:
+                sets.add(f.var)
+        elif t is ModCount:
+            if f.var not in bound_set:
+                sets.add(f.var)
+        elif t is HasLabel:
+            if f.x not in bound_fo:
+                fo.add(f.x)
+        elif t is Not:
+            walk(f.body, bound_fo, bound_set)
+        elif t in _BINARY_KINDS:
+            walk(f.left, bound_fo, bound_set)
+            walk(f.right, bound_fo, bound_set)
+        elif t in _FO_QUANTIFIERS:
+            walk(f.body, bound_fo | {f.var}, bound_set)
+        elif t in _SET_QUANTIFIERS:
+            walk(f.body, bound_fo, bound_set | {f.var})
+
+    walk(formula, set(), set())
+    return frozenset(fo), frozenset(sets)
+
+
+def reference_all_var_names(formula):
+    """all_var_names by one hand-written case per node kind."""
+    names = set()
+
+    def walk(f):
+        t = type(f)
+        if t in (Edge, Eq, RelAtom):
+            names.update((f.x, f.y))
+        elif t is InSet:
+            names.update((f.x, f.var))
+        elif t is ModCount:
+            names.add(f.var)
+        elif t is HasLabel:
+            names.add(f.x)
+        elif t is Not:
+            walk(f.body)
+        elif t in _BINARY_KINDS:
+            walk(f.left)
+            walk(f.right)
+        elif t in _FO_QUANTIFIERS + _SET_QUANTIFIERS:
+            names.add(f.var)
+            walk(f.body)
+
+    walk(formula)
+    return names
+
+
+def reference_quantifier_count(formula):
+    t = type(formula)
+    if t is Not:
+        return reference_quantifier_count(formula.body)
+    if t in _BINARY_KINDS:
+        return (reference_quantifier_count(formula.left)
+                + reference_quantifier_count(formula.right))
+    if t in _FO_QUANTIFIERS + _SET_QUANTIFIERS:
+        return 1 + reference_quantifier_count(formula.body)
+    return 0
+
+
+def reference_set_quantifier_rank(formula):
+    t = type(formula)
+    if t is Not:
+        return reference_set_quantifier_rank(formula.body)
+    if t in _BINARY_KINDS:
+        return max(reference_set_quantifier_rank(formula.left),
+                   reference_set_quantifier_rank(formula.right))
+    if t in _FO_QUANTIFIERS:
+        return reference_set_quantifier_rank(formula.body)
+    if t in _SET_QUANTIFIERS:
+        return 1 + reference_set_quantifier_rank(formula.body)
+    return 0
+
+
+def reference_mod_lcm(formula):
+    t = type(formula)
+    if t is ModCount:
+        return formula.b
+    if t is Not:
+        return reference_mod_lcm(formula.body)
+    if t in _BINARY_KINDS:
+        return math.lcm(reference_mod_lcm(formula.left),
+                        reference_mod_lcm(formula.right))
+    if t in _FO_QUANTIFIERS + _SET_QUANTIFIERS:
+        return reference_mod_lcm(formula.body)
+    return 1
+
+
+def reference_substitute_fo(formula, mapping, taken=None):
+    """substitute_fo by one hand-written case per node kind, drawing fresh
+    names w0, w1, ... in the same order."""
+    taken = (set(taken or ()) | reference_all_var_names(formula)
+             | set(mapping.values()))
+    pool = (name for name in (f"w{i}" for i in itertools.count())
+            if name not in taken)
+
+    def walk(f, env):
+        t = type(f)
+        if t in (TrueConst, FalseConst, ModCount):
+            return f
+        if t is Edge:
+            return Edge(env.get(f.x, f.x), env.get(f.y, f.y))
+        if t is Eq:
+            return Eq(env.get(f.x, f.x), env.get(f.y, f.y))
+        if t is RelAtom:
+            return RelAtom(f.rel, env.get(f.x, f.x), env.get(f.y, f.y))
+        if t is InSet:
+            return InSet(env.get(f.x, f.x), f.var)
+        if t is HasLabel:
+            return HasLabel(f.label, env.get(f.x, f.x))
+        if t is Not:
+            return Not(walk(f.body, env))
+        if t in _BINARY_KINDS:
+            return t(walk(f.left, env), walk(f.right, env))
+        if t in _SET_QUANTIFIERS:
+            return t(f.var, walk(f.body, env))
+        if t in _FO_QUANTIFIERS:
+            env = dict(env)
+            if f.var in set(env.values()):
+                new = next(pool)
+                env[f.var] = new
+                return t(new, walk(f.body, env))
+            env.pop(f.var, None)
+            return t(f.var, walk(f.body, env))
+        raise AssertionError(f"unhandled node {t}")
+
+    return walk(formula, dict(mapping))
 
 
 def tuple_of_colored_tree(ct, node=None):

@@ -1,6 +1,8 @@
 """Logic engine: formulas, parsing, evaluation, interpretations, transductions."""
 
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -55,6 +57,7 @@ from shrubkit.mso import (
     substitute_fo,
     transduction_images,
 )
+from shrubkit.mso import formulas
 from shrubkit.mso.parser import MAX_NESTING
 
 from .helpers import (
@@ -62,7 +65,13 @@ from .helpers import (
     random_graph,
     random_seeded,
     random_tree_model,
+    reference_all_var_names,
     reference_evaluate,
+    reference_free_vars,
+    reference_mod_lcm,
+    reference_quantifier_count,
+    reference_set_quantifier_rank,
+    reference_substitute_fo,
 )
 
 
@@ -169,6 +178,115 @@ class TestFormulaBasics:
         for v in range(3):
             want = any(g.has_edge(v, w) for w in range(3))
             assert evaluate(g, sub, {"y": v}) == want
+
+
+NODE_KINDS = [
+    kind for kind in vars(formulas).values()
+    if isinstance(kind, type) and issubclass(kind, Formula) and kind is not Formula
+]
+
+
+def _height(f):
+    parts = [getattr(f, name) for name in ("body", "left", "right")
+             if hasattr(f, name)]
+    return 1 + max(map(_height, parts)) if parts else 0
+
+
+def _nots(k):
+    phi = TrueConst()
+    for _ in range(k):
+        phi = Not(phi)
+    return phi
+
+
+class TestShapeTable:
+    def test_every_field_has_exactly_one_role(self):
+        assert len(NODE_KINDS) == 17
+        constants = {"a", "b", "label", "rel"}
+        for kind in NODE_KINDS:
+            roles = kind._FO + kind._SETS + kind._PARTS
+            assert len(roles) == len(set(roles)), kind
+            for f in dataclasses.fields(kind):
+                if f.name == "height":
+                    assert not f.init and not f.compare and not f.repr
+                    continue
+                assert (f.name in roles) != (f.name in constants), (kind, f.name)
+            assert set(roles) <= {f.name for f in dataclasses.fields(kind)}
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(
+        phi=FORMULAS,
+        mapping=st.dictionaries(_fo, st.sampled_from(FO_NAMES + ("w0", "w1"))),
+        taken=st.sets(st.sampled_from(("w0", "w1", "w2"))),
+    )
+    def test_folds_agree_with_the_kindwise_walks(self, phi, mapping, taken):
+        assert free_vars(phi) == reference_free_vars(phi)
+        assert formulas.all_var_names(phi) == reference_all_var_names(phi)
+        assert quantifier_count(phi) == reference_quantifier_count(phi)
+        assert set_quantifier_rank(phi) == reference_set_quantifier_rank(phi)
+        assert mod_lcm(phi) == reference_mod_lcm(phi)
+        assert phi.height == _height(phi)
+        got = substitute_fo(phi, mapping, taken)
+        assert got == reference_substitute_fo(phi, mapping, taken)
+        assert format_formula(got) == format_formula(
+            reference_substitute_fo(phi, mapping, taken))
+        assert got.height == phi.height
+
+
+class TestHeightBound:
+    def test_constructors_refuse_past_the_bound(self):
+        top = _nots(MAX_NESTING)
+        assert top.height == MAX_NESTING
+        for build in (Not, lambda f: And(TrueConst(), f),
+                      lambda f: ExistsVertex("x", f), lambda f: AllSet("X", f)):
+            with pytest.raises(ValidationError,
+                               match="formula nests deeper than 100 levels"):
+                build(top)
+
+    def test_two_thousand_nots_are_refused_not_a_recursion_error(self):
+        with pytest.raises(ValidationError) as info:
+            _nots(2000)
+        with pytest.raises(FormulaParseError) as parsed:
+            parse_formula("!" * 2000 + "true")
+        assert str(info.value) in str(parsed.value)
+
+    def test_parts_must_be_formulas(self):
+        for build in (lambda: Not("true"), lambda: And(TrueConst(), None),
+                      lambda: ExistsVertex("x", 1)):
+            with pytest.raises(ValidationError, match="is not a formula"):
+                build()
+        for build in (lambda: Edge(1, "y"), lambda: InSet("x", None),
+                      lambda: ExistsSet(b"X", TrueConst())):
+            with pytest.raises(ValidationError, match="is not a"):
+                build()
+
+    def test_substitution_keeps_the_height(self):
+        phi = ExistsVertex("y", And(Edge("x", "y"), _nots(MAX_NESTING - 2)))
+        sub = substitute_fo(phi, {"x": "y"})
+        assert sub.height == phi.height == MAX_NESTING
+        assert sub == reference_substitute_fo(phi, {"x": "y"})
+
+    def test_rewriting_past_the_bound_is_refused(self):
+        ident = Interpretation(parse_formula("true"), parse_formula("edge(x, y)"))
+        # each quantifier gains a conjunction with the domain formula
+        fits = parse_formula("ex1 x. " * (MAX_NESTING // 2) + "true")
+        assert rewrite_formula(ident, fits).height == MAX_NESTING
+        over = parse_formula("ex1 x. " * (MAX_NESTING // 2 + 1) + "true")
+        with pytest.raises(ValidationError, match="nests deeper"):
+            rewrite_formula(ident, over)
+        # an edge atom grows two levels: !(x = y) & (edge(x, y) | edge(y, x))
+        edgy = parse_formula("!" * (MAX_NESTING - 2) + "edge(x, y)")
+        assert rewrite_formula(ident, edgy).height == MAX_NESTING
+        edgy = Not(edgy)
+        with pytest.raises(ValidationError, match="nests deeper"):
+            rewrite_formula(ident, edgy)
+
+    def test_pickle_keeps_equality_hash_and_height(self):
+        for text in CORPUS:
+            phi = parse_formula(text)
+            back = pickle.loads(pickle.dumps(phi))
+            assert back == phi and hash(back) == hash(phi)
+            assert back.height == phi.height == _height(phi)
 
 
 class TestParser:
@@ -417,6 +535,17 @@ class TestEvaluate:
                     AllSet("X", Mystery()), Iff(FalseConst(), Mystery())):
             with pytest.raises(ValidationError, match="unknown formula node"):
                 evaluate(g, phi)
+
+    def test_unknown_node_is_refused_by_the_rewriters(self):
+        ident = Interpretation(parse_formula("true"), parse_formula("edge(x, y)"))
+        for phi in (Mystery(), And(TrueConst(), Mystery()),
+                    ExistsVertex("x", Mystery())):
+            with pytest.raises(ValidationError, match="unknown formula node"):
+                substitute_fo(phi, {"x": "y"})
+            with pytest.raises(ValidationError, match="unknown formula node"):
+                rewrite_formula(ident, phi)
+            with pytest.raises(ValidationError, match="unknown formula node"):
+                format_formula(phi)
 
     def test_empty_domain(self):
         empty = Graph(0)

@@ -20,7 +20,13 @@ from shrubkit import (
     make_clique,
 )
 from shrubkit.constructions import clique_model
-from shrubkit.mso import Interpretation, RelStructure, Transduction, parse_formula
+from shrubkit.mso import (
+    Interpretation,
+    RelStructure,
+    Transduction,
+    TrueConst,
+    parse_formula,
+)
 
 
 def _interpretation():
@@ -48,6 +54,17 @@ def test_attributes_cannot_be_set(value):
     for f in dataclasses.fields(value):
         with pytest.raises(AttributeError):
             setattr(value, f.name, getattr(value, f.name))
+
+
+@pytest.mark.parametrize("value", [Graph(1), TrueConst()], ids=["Graph", "TrueConst"])
+def test_a_new_attribute_cannot_be_set(value):
+    # CPython 3.11 raises TypeError here, not AttributeError: the generated
+    # __setattr__ calls super() on the class from before slots were added
+    before = pickle.dumps(value)
+    with pytest.raises((AttributeError, TypeError)):
+        value.extra = 1
+    assert not hasattr(value, "extra")
+    assert pickle.dumps(value) == before
 
 
 @pytest.mark.parametrize("value", VALUES, ids=IDS)
