@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from . import constructions, depth, lincw, sc_model, solver, tree_model
 from .errors import ShrubError, ValidationError
@@ -41,10 +42,7 @@ _CAP_NAMES = {
 
 def _caps_from_env():
     caps = dict(_CAP_NAMES)
-    raw = os.environ.get("SHRUBKIT_CAPS", "").strip()
-    if not raw:
-        return caps
-    for item in raw.split(","):
+    for item in os.environ.get("SHRUBKIT_CAPS", "").split(","):
         item = item.strip()
         if not item:
             continue
@@ -92,136 +90,66 @@ def _mso_caps(caps):
     }
 
 
+# (group, name, arguments, parser options, handler) for every command, in the
+# order the help listings show them; the group of a top-level command is ""
+_COMMANDS = []
+
+# group word -> (dest naming its chosen subcommand, help text)
+_GROUPS = {
+    "generate": ("what", "stock graphs and models"),
+    "convert": ("how", "between representations"),
+    "solve": ("what", "membership and measures"),
+    "verify": ("what", "check a certificate against a graph"),
+    "mso": ("what", "logic engine"),
+}
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+def _int(flag):
+    return _arg(flag, type=int, required=True)
+
+
+def _out(help=None):
+    return _arg("-o", "--out", help=help)
+
+
+_GRAPH = _arg("--graph", required=True)
+_IN = _arg("--in", dest="infile", required=True)
+
+
+def _command(path, *arguments, **options):
+    """Register the decorated handler(args, caps, structured) as `path`.
+
+    The handler returns its exit code, 1 for a NO verdict or a failed check;
+    returning nothing means 0.  It raises for an error.
+    """
+
+    def register(handler):
+        group, _, name = path.rpartition(" ")
+        _COMMANDS.append((group, name, arguments, options, handler))
+        return handler
+
+    return register
+
+
 def _build_parser():
-    top = argparse.ArgumentParser(
-        prog="shrubkit",
-        description="Tree-models, SC-trees, conversions, solvers, and logic.",
-    )
-    top.add_argument(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
-        help="verdict output style",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="stock graphs and models")
-    gen_sub = gen.add_subparsers(dest="what", required=True)
-    p = gen_sub.add_parser("path")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("-o", "--out")
-    p = gen_sub.add_parser("clique")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("-o", "--out")
-    p = gen_sub.add_parser("biclique")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("-o", "--out")
-    p = gen_sub.add_parser("subdivided-k33")
-    p.add_argument("-o", "--out")
-    p.add_argument("--model-out", help="also write the depth-2 model here")
-    p = gen_sub.add_parser("path-model")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("-o", "--out")
-    p = gen_sub.add_parser("clique-model")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("-o", "--out")
-    p = gen_sub.add_parser("biclique-model")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("-o", "--out")
-
-    conv = sub.add_parser("convert", help="between representations")
-    conv_sub = conv.add_subparsers(dest="how", required=True)
-    for name in ("tm-to-sc", "sc-to-tm", "tm-to-lincw", "sc-eval", "tm-eval",
-                 "lincw-eval"):
-        p = conv_sub.add_parser(name)
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("-o", "--out")
-    p = conv_sub.add_parser("td-to-tm")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--forest", required=True)
-    p.add_argument("-o", "--out")
-
-    solve = sub.add_parser("solve", help="membership and measures")
-    solve_sub = solve.add_subparsers(dest="what", required=True)
-    p = solve_sub.add_parser("tm")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("-o", "--out", help="witness model file")
-    p = solve_sub.add_parser("tmc")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("-o", "--out")
-    p = solve_sub.add_parser("sc")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("-o", "--out", help="witness SC-tree file")
-    p = solve_sub.add_parser("td")
-    p.add_argument("--graph", required=True)
-    p.add_argument("-o", "--out", help="witness forest file")
-    p = solve_sub.add_parser("nd")
-    p.add_argument("--graph", required=True)
-    p = solve_sub.add_parser("obstructions")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("-o", "--out")
-
-    ver = sub.add_parser("verify", help="check a certificate against a graph")
-    ver_sub = ver.add_subparsers(dest="what", required=True)
-    p = ver_sub.add_parser("tm")
-    p.add_argument("--model", required=True)
-    p.add_argument("--graph", required=True)
-    p = ver_sub.add_parser("sc")
-    p.add_argument("--sc", required=True)
-    p.add_argument("--graph", required=True)
-    p = ver_sub.add_parser("td")
-    p.add_argument("--forest", required=True)
-    p.add_argument("--graph", required=True)
-    p = ver_sub.add_parser("kcopied")
-    p.add_argument("--model", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--graph", help="also require realize to match this graph")
-
-    mso = sub.add_parser("mso", help="logic engine")
-    mso_sub = mso.add_subparsers(dest="what", required=True)
-    p = mso_sub.add_parser("parse")
-    p.add_argument("--formula", required=True, help="formula file")
-    p = mso_sub.add_parser("check")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--formula", required=True, help="sentence file")
-    p = mso_sub.add_parser("interpret")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--nu", default="true", help="domain formula text")
-    p.add_argument("--mu", required=True, help="edge formula text")
-    p.add_argument("-o", "--out")
-    p = mso_sub.add_parser("transduce")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--nu", default="true")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--chi", default="true", help="precondition sentence text")
-    p.add_argument("--copies", type=int, default=1)
-    p.add_argument(
-        "--label",
-        action="append",
-        default=[],
-        metavar="NAME=v1,v2,...",
-        help="guessed unary predicate (repeatable)",
-    )
-    p.add_argument("-o", "--out")
-
-    p = sub.add_parser("reduce-tree", help="prune sibling class multiplicity")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--thresholds", required=True, help="comma list, by height")
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("-o", "--out")
-
+    description = "Tree-models, SC-trees, conversions, solvers, and logic."
+    top = argparse.ArgumentParser(prog="shrubkit", description=description)
+    top.add_argument("--format", choices=("text", "structured"), default="text",
+                     help="verdict output style")
+    groups = {"": top.add_subparsers(dest="command", required=True)}
+    for group, name, arguments, options, handler in _COMMANDS:
+        if group not in groups:
+            dest, help_text = _GROUPS[group]
+            parser = groups[""].add_parser(group, help=help_text)
+            groups[group] = parser.add_subparsers(dest=dest, required=True)
+        leaf = groups[group].add_parser(name, **options)
+        for flags, kwargs in arguments:
+            leaf.add_argument(*flags, **kwargs)
+        leaf.set_defaults(run=handler)
     return top
 
 
@@ -232,183 +160,239 @@ def _parse_labeling(items):
         if not sep or not name:
             raise ValidationError(f"bad --label {item!r}, want NAME=v1,v2,...")
         try:
-            labeling[name] = [
-                int(v) for v in verts.split(",") if v.strip() != ""
-            ]
+            labeling[name] = [int(v) for v in verts.split(",") if v.strip() != ""]
         except ValueError:
             raise ValidationError(f"bad vertex list in --label {item!r}") from None
     return labeling
 
 
-def _cmd_generate(args, caps, structured):
-    if args.what == "path":
-        _emit(graph_to_text(constructions.make_path(args.length)), args.out)
-    elif args.what == "clique":
-        _emit(graph_to_text(constructions.make_clique(args.n)), args.out)
-    elif args.what == "biclique":
-        _emit(graph_to_text(constructions.make_biclique(args.a, args.b)), args.out)
-    elif args.what == "subdivided-k33":
-        g, model = constructions.subdivided_matching_biclique_model()
-        _emit(graph_to_text(g), args.out)
-        if args.model_out:
-            _emit(tree_model.model_to_text(model), args.model_out)
-    elif args.what == "path-model":
-        model = constructions.path_model(args.m, cap=caps["path-model"])
-        _emit(tree_model.model_to_text(model), args.out)
-    elif args.what == "clique-model":
-        _emit(tree_model.model_to_text(constructions.clique_model(args.n)), args.out)
-    else:
-        _emit(
-            tree_model.model_to_text(constructions.biclique_model(args.a, args.b)),
-            args.out,
-        )
-    return 0
+def _graph(args):
+    return graph_from_text(_read(args.graph))
 
 
-def _cmd_convert(args, caps, structured):
-    if args.how == "td-to-tm":
-        g = graph_from_text(_read(args.graph))
-        forest = depth.forest_from_text(_read(args.forest))
-        _emit(tree_model.model_to_text(depth.td_to_tm(g, forest)), args.out)
+def _ok_or(failure, ok, structured, **fields):
+    """Verdict OK with `fields` and exit 0 when `ok`, else `failure` and 1."""
+    if ok:
+        _verdict("OK", structured, **fields)
         return 0
-    text = _read(args.infile)
-    if args.how == "tm-to-sc":
-        out = sc_model.sc_to_text(sc_model.tm_to_sc(tree_model.model_from_text(text)))
-    elif args.how == "sc-to-tm":
-        out = tree_model.model_to_text(sc_model.sc_to_tm(sc_model.sc_from_text(text)))
-    elif args.how == "tm-to-lincw":
-        out = lincw.lincw_to_text(lincw.tm_to_lincw(tree_model.model_from_text(text)))
-    elif args.how == "sc-eval":
-        out = graph_to_text(sc_model.evaluate_sc(sc_model.sc_from_text(text)))
-    elif args.how == "tm-eval":
-        out = graph_to_text(tree_model.realize(tree_model.model_from_text(text)))
-    else:
-        out = graph_to_text(lincw.eval_lincw(lincw.lincw_from_text(text)))
-    _emit(out, args.out)
-    return 0
+    _verdict(failure, structured)
+    return 1
 
 
-def _cmd_solve(args, caps, structured):
-    if args.what == "nd":
-        g = graph_from_text(_read(args.graph))
-        _verdict(f"ND {neighbourhood_diversity(g)}", structured)
-        return 0
-    if args.what == "td":
-        g = graph_from_text(_read(args.graph))
-        value, forest = depth.tree_depth(g, cap=caps["td"])
-        _verdict(f"TREE-DEPTH {value}", structured)
-        _emit(depth.forest_to_text(forest), args.out)
-        return 0
-    if args.what == "obstructions":
-        found = solver.minimal_obstructions(
-            args.d, args.m, args.max_n, cap=caps["tm"]
-        )
-        blocks = [graph_to_text(g) for g in found]
-        _verdict(f"OBSTRUCTIONS {len(found)}", structured, graphs=blocks)
-        if not structured:
-            _emit("\n".join(blocks), args.out)
-        return 0
-    g = graph_from_text(_read(args.graph))
-    if args.what == "tm":
-        witness = solver.tm_membership(g, args.d, args.m, cap=caps["tm"])
-        if witness is None:
-            _verdict(f"NO (verified for all depths <= {args.d})", structured)
-            return 1
-        _verdict("YES", structured, depth=witness.depth, colors=witness.colors)
-        _emit(tree_model.model_to_text(witness), args.out)
-        return 0
-    if args.what == "tmc":
-        copied = solver.tmc_membership(g, args.d, args.m, args.k, cap=caps["tm"])
-        if copied is None:
-            _verdict("NO", structured)
-            return 1
-        _verdict("YES", structured, depth=args.d, colors=args.m, k=args.k)
-        _emit(tree_model.model_to_text(copied.model), args.out)
-        return 0
-    witness = solver.sc_membership(g, args.n, cap=caps["sc"])
+@_command("generate path", _int("--length"), _out())
+def _generate_path(args, caps, structured):
+    _emit(graph_to_text(constructions.make_path(args.length)), args.out)
+
+
+@_command("generate clique", _int("--n"), _out())
+def _generate_clique(args, caps, structured):
+    _emit(graph_to_text(constructions.make_clique(args.n)), args.out)
+
+
+@_command("generate biclique", _int("--a"), _int("--b"), _out())
+def _generate_biclique(args, caps, structured):
+    _emit(graph_to_text(constructions.make_biclique(args.a, args.b)), args.out)
+
+
+@_command("generate subdivided-k33", _out(),
+          _arg("--model-out", help="also write the depth-2 model here"))
+def _generate_subdivided_k33(args, caps, structured):
+    g, model = constructions.subdivided_matching_biclique_model()
+    _emit(graph_to_text(g), args.out)
+    if args.model_out:
+        _emit(tree_model.model_to_text(model), args.model_out)
+
+
+@_command("generate path-model", _int("--m"), _out())
+def _generate_path_model(args, caps, structured):
+    model = constructions.path_model(args.m, cap=caps["path-model"])
+    _emit(tree_model.model_to_text(model), args.out)
+
+
+@_command("generate clique-model", _int("--n"), _out())
+def _generate_clique_model(args, caps, structured):
+    _emit(tree_model.model_to_text(constructions.clique_model(args.n)), args.out)
+
+
+@_command("generate biclique-model", _int("--a"), _int("--b"), _out())
+def _generate_biclique_model(args, caps, structured):
+    model = constructions.biclique_model(args.a, args.b)
+    _emit(tree_model.model_to_text(model), args.out)
+
+
+# the pure conversions, each with its (reader, conversion, writer); the
+# triple is fetched when the command runs, so that a function patched on its
+# module after import is the one called
+_CONVERSIONS = (
+    ("tm-to-sc",
+     lambda: (tree_model.model_from_text, sc_model.tm_to_sc, sc_model.sc_to_text)),
+    ("sc-to-tm",
+     lambda: (sc_model.sc_from_text, sc_model.sc_to_tm, tree_model.model_to_text)),
+    ("tm-to-lincw",
+     lambda: (tree_model.model_from_text, lincw.tm_to_lincw, lincw.lincw_to_text)),
+    ("sc-eval", lambda: (sc_model.sc_from_text, sc_model.evaluate_sc, graph_to_text)),
+    ("tm-eval",
+     lambda: (tree_model.model_from_text, tree_model.realize, graph_to_text)),
+    ("lincw-eval", lambda: (lincw.lincw_from_text, lincw.eval_lincw, graph_to_text)),
+)
+
+
+def _convert(steps, args, caps, structured):
+    reader, conversion, writer = steps()
+    _emit(writer(conversion(reader(_read(args.infile)))), args.out)
+
+
+for _how, _steps in _CONVERSIONS:
+    _command(f"convert {_how}", _IN, _out())(partial(_convert, _steps))
+
+
+@_command("convert td-to-tm", _GRAPH, _arg("--forest", required=True), _out())
+def _convert_td_to_tm(args, caps, structured):
+    g = _graph(args)
+    forest = depth.forest_from_text(_read(args.forest))
+    _emit(tree_model.model_to_text(depth.td_to_tm(g, forest)), args.out)
+
+
+@_command("solve tm", _GRAPH, _int("--d"), _int("--m"), _out("witness model file"))
+def _solve_tm(args, caps, structured):
+    witness = solver.tm_membership(_graph(args), args.d, args.m, cap=caps["tm"])
+    if witness is None:
+        _verdict(f"NO (verified for all depths <= {args.d})", structured)
+        return 1
+    _verdict("YES", structured, depth=witness.depth, colors=witness.colors)
+    _emit(tree_model.model_to_text(witness), args.out)
+
+
+@_command("solve tmc", _GRAPH, _int("--d"), _int("--m"), _int("--k"), _out())
+def _solve_tmc(args, caps, structured):
+    g = _graph(args)
+    copied = solver.tmc_membership(g, args.d, args.m, args.k, cap=caps["tm"])
+    if copied is None:
+        _verdict("NO", structured)
+        return 1
+    _verdict("YES", structured, depth=args.d, colors=args.m, k=args.k)
+    _emit(tree_model.model_to_text(copied.model), args.out)
+
+
+@_command("solve sc", _GRAPH, _int("--n"), _out("witness SC-tree file"))
+def _solve_sc(args, caps, structured):
+    witness = solver.sc_membership(_graph(args), args.n, cap=caps["sc"])
     if witness is None:
         _verdict(f"NO (no SC-tree of height <= {args.n})", structured)
         return 1
     _verdict("YES", structured, height=witness.height)
     _emit(sc_model.sc_to_text(witness), args.out)
-    return 0
 
 
-def _cmd_verify(args, caps, structured):
-    g = graph_from_text(_read(args.graph)) if args.graph else None
-    if args.what == "tm":
-        model = tree_model.model_from_text(_read(args.model))
-        if tree_model.verify(model, g):
-            _verdict("OK", structured)
-            return 0
-        _verdict("MISMATCH", structured)
-        return 1
-    if args.what == "sc":
-        t = sc_model.sc_from_text(_read(args.sc))
-        if sc_model.evaluate_sc(t) == g:
-            _verdict("OK", structured)
-            return 0
-        _verdict("MISMATCH", structured)
-        return 1
-    if args.what == "td":
-        forest = depth.forest_from_text(_read(args.forest))
-        if depth.validate_td(g, forest):
-            _verdict("OK", structured, height=forest.height)
-            return 0
-        _verdict("INVALID", structured)
-        return 1
+@_command("solve td", _GRAPH, _out("witness forest file"))
+def _solve_td(args, caps, structured):
+    value, forest = depth.tree_depth(_graph(args), cap=caps["td"])
+    _verdict(f"TREE-DEPTH {value}", structured)
+    _emit(depth.forest_to_text(forest), args.out)
+
+
+@_command("solve nd", _GRAPH)
+def _solve_nd(args, caps, structured):
+    _verdict(f"ND {neighbourhood_diversity(_graph(args))}", structured)
+
+
+@_command("solve obstructions", _int("--d"), _int("--m"), _int("--max-n"), _out())
+def _solve_obstructions(args, caps, structured):
+    found = solver.minimal_obstructions(args.d, args.m, args.max_n, cap=caps["tm"])
+    blocks = [graph_to_text(g) for g in found]
+    _verdict(f"OBSTRUCTIONS {len(found)}", structured, graphs=blocks)
+    if not structured:
+        _emit("\n".join(blocks), args.out)
+
+
+# each verify command reads the graph before the certificate
+@_command("verify tm", _arg("--model", required=True), _GRAPH)
+def _verify_tm(args, caps, structured):
+    g = _graph(args)
+    model = tree_model.model_from_text(_read(args.model))
+    return _ok_or("MISMATCH", tree_model.verify(model, g), structured)
+
+
+@_command("verify sc", _arg("--sc", required=True), _GRAPH)
+def _verify_sc(args, caps, structured):
+    g = _graph(args)
+    t = sc_model.sc_from_text(_read(args.sc))
+    return _ok_or("MISMATCH", sc_model.evaluate_sc(t) == g, structured)
+
+
+@_command("verify td", _arg("--forest", required=True), _GRAPH)
+def _verify_td(args, caps, structured):
+    g = _graph(args)
+    forest = depth.forest_from_text(_read(args.forest))
+    valid = depth.validate_td(g, forest)
+    return _ok_or("INVALID", valid, structured, height=forest.height)
+
+
+@_command("verify kcopied", _arg("--model", required=True), _int("--d"), _int("--m"),
+          _int("--k"), _arg("--graph", help="also require realize to match this graph"))
+def _verify_kcopied(args, caps, structured):
+    g = _graph(args) if args.graph else None
     model = tree_model.model_from_text(_read(args.model))
     if not tree_model.verify_k_copied(model, args.d, args.m, args.k):
         _verdict("INVALID", structured)
         return 1
-    if g is not None and not tree_model.verify(model, g):
-        _verdict("MISMATCH", structured)
-        return 1
-    _verdict("OK", structured)
-    return 0
+    matches = g is None or tree_model.verify(model, g)
+    return _ok_or("MISMATCH", matches, structured)
 
 
-def _cmd_mso(args, caps, structured):
-    if args.what == "parse":
-        formula = parse_formula(_read(args.formula))
-        _verdict(
-            "OK",
-            structured,
-            canonical=format_formula(formula),
-            quantifiers=quantifier_count(formula),
-            mod_lcm=mod_lcm(formula),
-        )
-        return 0
-    if args.what == "check":
-        g = graph_from_text(_read(args.graph))
-        formula = parse_formula(_read(args.formula))
-        value = evaluate(g, formula, **_mso_caps(caps))
-        _verdict("TRUE" if value else "FALSE", structured)
-        return 0 if value else 1
-    g = graph_from_text(_read(args.graph))
+@_command("mso parse", _arg("--formula", required=True, help="formula file"))
+def _mso_parse(args, caps, structured):
+    formula = parse_formula(_read(args.formula))
+    _verdict("OK", structured, canonical=format_formula(formula),
+             quantifiers=quantifier_count(formula), mod_lcm=mod_lcm(formula))
+
+
+@_command("mso check", _GRAPH,
+          _arg("--formula", required=True, help="sentence file"))
+def _mso_check(args, caps, structured):
+    g = _graph(args)
+    formula = parse_formula(_read(args.formula))
+    value = evaluate(g, formula, **_mso_caps(caps))
+    _verdict("TRUE" if value else "FALSE", structured)
+    return 0 if value else 1
+
+
+@_command("mso interpret", _GRAPH,
+          _arg("--nu", default="true", help="domain formula text"),
+          _arg("--mu", required=True, help="edge formula text"), _out())
+def _mso_interpret(args, caps, structured):
+    g = _graph(args)
     interp = Interpretation(parse_formula(args.nu), parse_formula(args.mu))
-    if args.what == "interpret":
-        image, _ = apply_interpretation(interp, g, **_mso_caps(caps))
-        _emit(graph_to_text(image), args.out)
-        return 0
-    td = Transduction(
-        interp,
-        precondition=parse_formula(args.chi),
-        copies=args.copies,
-        predicates=tuple(_parse_labeling(args.label)),
-    )
-    image = apply_transduction(
-        td, g, _parse_labeling(args.label), **_mso_caps(caps)
-    )
+    image, _ = apply_interpretation(interp, g, **_mso_caps(caps))
+    _emit(graph_to_text(image), args.out)
+
+
+@_command("mso transduce", _GRAPH, _arg("--nu", default="true"),
+          _arg("--mu", required=True),
+          _arg("--chi", default="true", help="precondition sentence text"),
+          _arg("--copies", type=int, default=1),
+          _arg("--label", action="append", default=[], metavar="NAME=v1,v2,...",
+               help="guessed unary predicate (repeatable)"),
+          _out())
+def _mso_transduce(args, caps, structured):
+    g = _graph(args)
+    interp = Interpretation(parse_formula(args.nu), parse_formula(args.mu))
+    precondition = parse_formula(args.chi)
+    labeling = _parse_labeling(args.label)
+    td = Transduction(interp, precondition=precondition, copies=args.copies,
+                      predicates=tuple(labeling))
+    image = apply_transduction(td, g, labeling, **_mso_caps(caps))
     if image is None:
         _verdict("UNDEFINED", structured)
         return 1
     _verdict("DEFINED", structured)
     _emit(graph_to_text(image), args.out)
-    return 0
 
 
-def _cmd_reduce_tree(args, caps, structured):
+@_command("reduce-tree", _IN,
+          _arg("--thresholds", required=True, help="comma list, by height"),
+          _int("--modulus"), _out(), help="prune sibling class multiplicity")
+def _reduce_tree(args, caps, structured):
     ct = tree_model.colored_tree_from_text(_read(args.infile))
     try:
         thresholds = [int(x) for x in args.thresholds.split(",")]
@@ -418,28 +402,13 @@ def _cmd_reduce_tree(args, caps, structured):
         ) from None
     reduced = tree_model.reduce_tree(ct, thresholds, args.modulus)
     _emit(tree_model.colored_tree_to_text(reduced), args.out)
-    return 0
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        caps = _caps_from_env()
-        structured = args.format == "structured"
-        handler = {
-            "generate": _cmd_generate,
-            "convert": _cmd_convert,
-            "solve": _cmd_solve,
-            "verify": _cmd_verify,
-            "mso": _cmd_mso,
-            "reduce-tree": _cmd_reduce_tree,
-        }[args.command]
-        return handler(args, caps, structured)
-    except ShrubError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return args.run(args, _caps_from_env(), args.format == "structured") or 0
+    except (ShrubError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

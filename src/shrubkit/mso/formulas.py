@@ -25,6 +25,11 @@ def _check_set(name):
         raise ValidationError(f"{name!r} is not a set variable")
 
 
+def _check_name(value, what):
+    if not isinstance(value, str) or not value:
+        raise ValidationError(f"{what} name must be a non-empty string, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Formula:
     """A formula node.  Each node kind names its first-order variable fields
@@ -103,6 +108,9 @@ class ModCount(Formula):
 
     def __post_init__(self):
         Formula.__post_init__(self)
+        for value in (self.a, self.b):
+            if type(value) is not int:
+                raise ValidationError(f"mod bounds must be ints, got {value!r}")
         if not 0 <= self.a < self.b:
             raise ValidationError(
                 f"mod({self.a}, {self.b}, {self.var}) needs 0 <= a < b"
@@ -116,8 +124,7 @@ class HasLabel(Formula):
     _FO = ("x",)
 
     def __post_init__(self):
-        if not self.label:
-            raise ValidationError("label name must be non-empty")
+        _check_name(self.label, "label")
         Formula.__post_init__(self)
 
 
@@ -129,8 +136,7 @@ class RelAtom(Formula):
     _FO = ("x", "y")
 
     def __post_init__(self):
-        if not self.rel:
-            raise ValidationError("relation name must be non-empty")
+        _check_name(self.rel, "relation")
         Formula.__post_init__(self)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .errors import DomainError, ValidationError
 from .graph import Graph, flip_inside
 from .rooted_tree import RootedTree, flatten_records, load_json
-from .tree_model import TreeModel
+from .tree_model import TreeModel, infer_signature
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,42 +185,34 @@ def sc_to_tm(t):
     After padding the leaves to uniform depth, a leaf's color is the binary
     vector recording which ancestor X sets contain it; two leaves are
     adjacent exactly when their pair lies inside an odd number of X sets,
-    which their colors and meeting level determine.
+    which their colors and meeting level determine.  So every class of leaf
+    pairs agrees on adjacency, and the signature is the minimal one that
+    `infer_signature` reads off the evaluated graph.
     """
     k = t.height
-    padded = pad_sc(t, k)
-
+    g = evaluate_sc(t)
     parent = []
     leaf_vertex = {}
     leaf_color = {}
-    vectors = {}
 
     def build(node, parent_id, x_stack):
         parent.append(parent_id)
         me = len(parent) - 1
         if node.is_leaf:
             v = node.vertex
-            bits = tuple(1 if v in x else 0 for x in reversed(x_stack))
             leaf_vertex[me] = v
-            leaf_color[me] = 1 + sum(b << i for i, b in enumerate(bits))
-            vectors[me] = bits
+            leaf_color[me] = 1 + sum(
+                1 << i for i, x in enumerate(reversed(x_stack)) if v in x
+            )
         else:
             x_stack.append(node.x)
             for child in node.children:
                 build(child, me, x_stack)
             x_stack.pop()
 
-    build(padded, -1, [])
+    build(pad_sc(t, k), -1, [])
     tree = RootedTree(parent)
-
-    signature = set()
-    for u, v, meet in tree.leaf_pairs():
-        lvl = k - meet
-        parity = sum(vectors[u][i] & vectors[v][i] for i in range(lvl - 1, k))
-        if parity % 2:
-            signature.add((leaf_color[u], leaf_color[v], lvl))
-            signature.add((leaf_color[v], leaf_color[u], lvl))
-
+    signature = infer_signature(tree, leaf_vertex, leaf_color, g)
     return TreeModel(tree, k, max(2**k, 1), leaf_vertex, leaf_color, signature)
 
 

@@ -140,6 +140,23 @@ class Mystery(Formula):
     """A node kind the evaluator does not know."""
 
 
+BAD_CONSTANTS = [
+    (ModCount, ("1", 2, "X")),
+    (ModCount, (0, "2", "X")),
+    (ModCount, (True, 2, "X")),
+    (ModCount, (0, True, "X")),
+    (ModCount, (0, 2.5, "X")),
+    (ModCount, (0.0, 2, "X")),
+    (ModCount, (None, 2, "X")),
+    (HasLabel, (5, "x")),
+    (HasLabel, ("", "x")),
+    (HasLabel, (None, "x")),
+    (RelAtom, (7, "x", "y")),
+    (RelAtom, ("", "x", "y")),
+    (RelAtom, (b"r", "x", "y")),
+]
+
+
 class TestFormulaBasics:
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -152,6 +169,21 @@ class TestFormulaBasics:
             ModCount(-1, 2, "X")
         with pytest.raises(ValidationError):
             ExistsSet("x", TrueConst())
+
+    @pytest.mark.parametrize("kind, args", BAD_CONSTANTS, ids=[
+        f"{kind.__name__}{args!r}" for kind, args in BAD_CONSTANTS])
+    def test_constant_fields_are_typed(self, kind, args):
+        # a constant of the wrong type would format as text that parses back
+        # to a different formula, or crash a comparison with TypeError
+        with pytest.raises(ValidationError):
+            kind(*args)
+
+    @pytest.mark.parametrize("phi", [
+        ModCount(0, 2, "X"), ModCount(3, 7, "Y"), HasLabel("tip", "x"),
+        RelAtom("sim", "x", "y"),
+    ])
+    def test_constant_fields_round_trip(self, phi):
+        assert parse_formula(format_formula(phi)) == phi
 
     def test_free_vars(self):
         phi = ExistsVertex("x", And(Edge("x", "y"), InSet("x", "X")))

@@ -146,6 +146,12 @@ class TestSCToModel:
         m = sc_to_tm(SCTree.leaf(0))
         assert m.depth == 0 and realize(m) == Graph(1)
 
+    def test_leaf_ids_must_be_0_to_n_minus_1(self):
+        gapped = SCTree.inner([SCTree.leaf(0), SCTree.leaf(2)], [0, 2])
+        for bad in (gapped, SCTree.leaf(3)):
+            with pytest.raises(ValidationError, match=r"exactly 0\.\.n-1"):
+                sc_to_tm(bad)
+
 
 class TestSerialization:
     def test_round_trip(self):
