@@ -1,12 +1,17 @@
 """Formula syntax for counting monadic second-order logic on graphs.
 
-First-order variables start with a lowercase letter, set variables with an
-uppercase one.  Connective precedence from loosest to tightest is
+A variable is an ASCII letter, lowercase for a first-order variable and
+uppercase for a set variable, followed by ASCII letters, digits and
+underscores; it is not a keyword and has no label_ or rel_ prefix.  Label
+and relation names are runs of those same characters.  The node constructors
+and the parser apply this one rule, so every formula formats as text that
+parses back.  Connective precedence from loosest to tightest is
 <->, ->, |, &, !; quantifier scope extends as far right as possible.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from math import lcm
 
@@ -15,19 +20,38 @@ from ..errors import ValidationError
 MAX_NESTING = 100
 
 
-def _check_fo(name):
-    if not isinstance(name, str) or not name[:1].islower():
-        raise ValidationError(f"{name!r} is not a first-order variable")
+_KEYWORDS = frozenset(
+    {"ex1", "all1", "ex2", "all2", "in", "true", "false", "edge", "mod"}
+)
+_WORD = re.compile(r"[A-Za-z0-9_]+")
 
 
-def _check_set(name):
-    if not isinstance(name, str) or not name[:1].isupper():
-        raise ValidationError(f"{name!r} is not a set variable")
+def _variable_fault(name, want_set):
+    """Why name is not a variable of the wanted sort, or None."""
+    if not isinstance(name, str) or not _WORD.fullmatch(name) or name in _KEYWORDS:
+        return "expected a variable name"
+    if name.startswith(("label_", "rel_")):
+        return "variable names may not use the label_/rel_ prefixes"
+    if not name[0].isalpha():
+        return "variable names must start with a letter"
+    if name[0].isupper() != want_set:
+        expected = "a set variable" if want_set else "a first-order variable"
+        return f"expected {expected}, got {name!r}"
+    return None
+
+
+def _check_variable(name, want_set):
+    if _variable_fault(name, want_set):
+        sort = "set" if want_set else "first-order"
+        raise ValidationError(f"{name!r} is not a {sort} variable")
 
 
 def _check_name(value, what):
-    if not isinstance(value, str) or not value:
-        raise ValidationError(f"{what} name must be a non-empty string, got {value!r}")
+    if not isinstance(value, str) or not _WORD.fullmatch(value):
+        raise ValidationError(
+            f"{what} name must be a non-empty string of ASCII letters, digits "
+            f"and underscores, got {value!r}"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,9 +71,9 @@ class Formula:
 
     def __post_init__(self):
         for name in self._FO:
-            _check_fo(getattr(self, name))
+            _check_variable(getattr(self, name), False)
         for name in self._SETS:
-            _check_set(getattr(self, name))
+            _check_variable(getattr(self, name), True)
         height = 0
         for name in self._PARTS:
             part = getattr(self, name)

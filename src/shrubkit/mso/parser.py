@@ -1,6 +1,7 @@
 """Recursive-descent parser for the formula surface syntax.
 
-Grammar, loosest first:
+Grammar, loosest first; the binary levels are parsed by precedence climbing
+over formulas._PREC, the table format_formula brackets by:
 
     formula  ::= implied ( "<->" implied )*
     implied  ::= clause ( "->" implied )?
@@ -28,19 +29,20 @@ from functools import partial
 
 from ..errors import FormulaParseError, ValidationError
 from .formulas import (
+    _BINARY,
+    _KEYWORDS,
+    _PREC,
     _QUANT,
+    _variable_fault,
     MAX_NESTING,
-    And,
     Edge,
     Eq,
     FalseConst,
     HasLabel,
-    Iff,
     Implies,
     InSet,
     ModCount,
     Not,
-    Or,
     RelAtom,
     TrueConst,
 )
@@ -50,9 +52,10 @@ _TOKEN = re.compile(
     r"|(?P<iff><->)|(?P<implies>->)|(?P<sym>[().,=!&|]))"
 )
 
-_KEYWORDS = {"ex1", "all1", "ex2", "all2", "in", "true", "false", "edge", "mod"}
-
 _QUANTIFIERS = {word: kind for kind, word in _QUANT.items()}
+
+# binary operator tokens, "&", "|", "->" and "<->", to their node kinds
+_OPERATORS = {text.strip(): kind for kind, text in _BINARY.items()}
 
 
 def _tokenize(text):
@@ -106,15 +109,11 @@ class _Parser:
 
     def variable(self, want_set):
         kind, value, _ = self.peek()
-        if kind != "ident" or value in _KEYWORDS:
+        if kind != "ident":
             self.fail("expected a variable name")
-        if value.startswith("label_") or value.startswith("rel_"):
-            self.fail("variable names may not use the label_/rel_ prefixes")
-        if not value[0].isalpha():
-            self.fail("variable names must start with a letter")
-        if value[0].isupper() != want_set:
-            expected = "a set variable" if want_set else "a first-order variable"
-            self.fail(f"expected {expected}, got {value!r}")
+        fault = _variable_fault(value, want_set)
+        if fault:
+            self.fail(fault)
         self.take()
         return value
 
@@ -141,32 +140,17 @@ class _Parser:
         self.take()
         return int(value)
 
-    def formula(self):
-        out = self.implied()
-        while self.peek()[0] == "iff":
-            tok = self.take()
-            out = self.node(tok, Iff, out, self.implied())
-        return out
-
-    def implied(self):
-        left = self.clause()
-        if self.peek()[0] == "implies":
-            tok = self.take()
-            return self.node(tok, Implies, left, self.nested(self.implied, tok))
-        return left
-
-    def clause(self):
-        out = self.term()
-        while self.peek()[:2] == ("sym", "|"):
-            tok = self.take()
-            out = self.node(tok, Or, out, self.term())
-        return out
-
-    def term(self):
+    def formula(self, loosest=1):
+        """A factor and every binary operator after it that binds at least
+        as tightly as `loosest`, by precedence climbing over _PREC."""
         out = self.factor()
-        while self.peek()[:2] == ("sym", "&"):
+        while (kind := _OPERATORS.get(self.peek()[1])) and _PREC[kind] >= loosest:
             tok = self.take()
-            out = self.node(tok, And, out, self.factor())
+            if kind is Implies:
+                right = self.nested(partial(self.formula, _PREC[Implies]), tok)
+            else:
+                right = self.formula(_PREC[kind] + 1)
+            out = self.node(tok, kind, out, right)
         return out
 
     def factor(self):

@@ -223,16 +223,8 @@ def sc_to_tm(t):
 def _sc_record(t):
     if t.is_leaf:
         return {"vertex": t.vertex}
-    children = sorted(
-        (_sc_record(c) for c in t.children), key=_sc_min_leaf
-    )
-    return {"X": sorted(t.x), "children": children}
-
-
-def _sc_min_leaf(record):
-    if "vertex" in record:
-        return record["vertex"]
-    return min(_sc_min_leaf(c) for c in record["children"])
+    children = sorted(t.children, key=lambda c: min(c.leaf_vertices))
+    return {"X": sorted(t.x), "children": [_sc_record(c) for c in children]}
 
 
 def sc_to_text(t):

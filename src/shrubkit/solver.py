@@ -9,7 +9,9 @@ colors vertices with first-occurrence symmetry breaking and fails as soon as
 two pairs force one (color, color, level) class both ways.  Any completion
 of the chain only adds pairs, so a failure prunes every completion, and the
 first complete chain admitting a coloring is the first one an unpruned
-enumeration would find.
+enumeration would find.  The witness is assembled from the chain and the
+coloring in one pass and signed by infer_signature, which reads the adjacency
+of every leaf pair and so also checks the witness against the graph.
 """
 
 from __future__ import annotations
@@ -18,10 +20,19 @@ from .errors import DomainError, ResourceLimitError
 from .graph import Graph, canonical_form, complement_on_subset, components, induced_subgraph, relabel_graph
 from .rooted_tree import RootedTree
 from .sc_model import SCTree
-from .tree_model import CopiedTreeModel, TreeModel
+from .tree_model import CopiedTreeModel, TreeModel, infer_signature
 
 DEFAULT_TM_CAP = 10
 DEFAULT_SC_CAP = 9
+
+
+def _admit(g, cap, what):
+    """Refuse a graph past the vertex cap, and the empty graph, which no
+    model realizes."""
+    if g.n > cap:
+        raise ResourceLimitError(f"{what} cap is {cap} vertices, got {g.n}")
+    if g.n == 0:
+        raise DomainError("the empty graph has no model")
 
 
 def _iter_partitions(verts, max_block=None):
@@ -45,18 +56,14 @@ def _iter_partitions(verts, max_block=None):
         yield from extend(blocks, tail)
         blocks.pop()
 
-    if max_block == 0:
-        raise DomainError("partition blocks need room for one vertex")
     yield from extend([[first]], rest)
 
 
 def _search_coloring(g, m, depth, meet):
-    """First-occurrence-canonical coloring consistent with some signature.
-
-    Returns (colors, signature) or None.  Pairs whose meet level is None
-    are open and constrain nothing.  A tri-state class map grows as
-    vertices are colored and rolls back on backtrack.
-    """
+    """First-occurrence-canonical coloring consistent with some signature,
+    or None.  Pairs whose meet level is None are open and constrain nothing.
+    A tri-state class map grows as vertices are colored and rolls back on
+    backtrack."""
     n = g.n
     classes = {}
     colors = [0] * n
@@ -90,55 +97,32 @@ def _search_coloring(g, m, depth, meet):
         colors[t] = 0
         return False
 
-    if not place(0, 0):
-        return None
-    signature = set()
-    for (a, b, lvl), adjacent in classes.items():
-        if adjacent:
-            signature.add((a, b, lvl))
-            signature.add((b, a, lvl))
-    return list(colors), signature
+    return colors if place(0, 0) else None
 
 
-def _build_witness(g, depth, m, chain, colors, signature):
-    """Assemble the model whose internal levels follow the chain."""
-    n = g.n
+def _build_witness(g, depth, m, chain, colors):
+    """The model whose internal levels follow the chain, signed by
+    infer_signature.  Nodes are numbered level by level, blocks by their
+    least vertex and leaves by vertex."""
     parent = [-1]
-    node_of_block = []
-    for k, partition in enumerate(chain):
-        level_nodes = {}
+    above = [0] * g.n  # each vertex's node on the last level built
+    for partition in chain:
         for block in sorted(partition, key=min):
-            if k == 0:
-                above = 0
-            else:
-                above = node_of_block[k - 1][
-                    next(b for b in chain[k - 1] if block[0] in b)
-                ]
-            node = len(parent)
-            parent.append(above)
-            level_nodes[block] = node
-        node_of_block.append(level_nodes)
-    leaf_vertex = {}
-    leaf_color = {}
-    for v in range(n):
-        if chain:
-            above = node_of_block[-1][
-                next(b for b in chain[-1] if v in b)
-            ]
-        else:
-            above = 0
-        leaf = len(parent)
-        parent.append(above)
-        leaf_vertex[leaf] = v
-        leaf_color[leaf] = colors[v]
-    return TreeModel(
-        RootedTree(parent), depth, m, leaf_vertex, leaf_color, signature
-    )
+            parent.append(above[block[0]])
+            for v in block:
+                above[v] = len(parent) - 1
+    leaves = range(len(parent), len(parent) + g.n)
+    leaf_vertex = dict(zip(leaves, range(g.n)))
+    leaf_color = dict(zip(leaves, colors))
+    parent += above
+    tree = RootedTree(parent)
+    signature = infer_signature(tree, leaf_vertex, leaf_color, g)
+    return TreeModel(tree, depth, m, leaf_vertex, leaf_color, signature)
 
 
 def _first_hit(g, m, depth, levels, last_max_block):
     """First chain, in nested-partition enumeration order, admitting a
-    coloring: (chain, colors, signature) or None.
+    coloring: (chain, colors) or None.
 
     Blocks are partitioned in the order they appear in the finished chain's
     tree, so a block's own sub-chain is completed before its next sibling's.
@@ -165,7 +149,7 @@ def _first_hit(g, m, depth, levels, last_max_block):
 
     def walk(found):
         if not pending:
-            return chain, found[0], found[1]
+            return chain, found
         block, k = pending.pop()
         last = k == levels
         for parts in _iter_partitions(block, last_max_block if last else None):
@@ -204,19 +188,13 @@ def tm_membership(g, d, m, cap=DEFAULT_TM_CAP):
     """
     if d < 0 or m < 1:
         raise DomainError("need d >= 0 and m >= 1")
-    if g.n > cap:
-        raise ResourceLimitError(f"membership cap is {cap} vertices, got {g.n}")
-    if g.n == 0:
-        return None
+    _admit(g, cap, "membership")
     if d == 0:
         if g.n != 1:
             return None
         return TreeModel(RootedTree([-1]), 0, m, {0: 0}, {0: 1}, set())
     hit = _first_hit(g, m, d, d - 1, None)
-    if hit is None:
-        return None
-    chain, colors, signature = hit
-    return _build_witness(g, d, m, chain, colors, signature)
+    return None if hit is None else _build_witness(g, d, m, *hit)
 
 
 def tmc_membership(g, d, m, k, cap=DEFAULT_TM_CAP):
@@ -224,18 +202,13 @@ def tmc_membership(g, d, m, k, cap=DEFAULT_TM_CAP):
     k leaves per depth-d node.  Returns a CopiedTreeModel or None."""
     if d < 0 or m < 1 or k < 1:
         raise DomainError("need d >= 0, m >= 1, k >= 1")
-    if g.n > cap:
-        raise ResourceLimitError(f"membership cap is {cap} vertices, got {g.n}")
-    if g.n == 0:
-        return None
+    _admit(g, cap, "membership")
     if d == 0 and g.n > k:
         return None
     hit = _first_hit(g, m, d + 1, d, k)
     if hit is None:
         return None
-    chain, colors, signature = hit
-    witness = _build_witness(g, d + 1, m, chain, colors, signature)
-    return CopiedTreeModel(witness, d, m, k)
+    return CopiedTreeModel(_build_witness(g, d + 1, m, *hit), d, m, k)
 
 
 def _relabel_sc(t, mapping):
@@ -269,10 +242,7 @@ def sc_membership(g, depth, cap=DEFAULT_SC_CAP):
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    if g.n > cap:
-        raise ResourceLimitError(f"sc membership cap is {cap} vertices, got {g.n}")
-    if g.n == 0:
-        return None
+    _admit(g, cap, "sc membership")
     memo = {}
 
     def member(h, budget):

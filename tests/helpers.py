@@ -27,6 +27,7 @@ from shrubkit.graph import (
     induced_subgraph,
     relabel_graph,
 )
+from shrubkit.errors import DomainError
 from shrubkit.rooted_tree import RootedTree
 from shrubkit.sc_model import SCTree
 from shrubkit.solver import (
@@ -126,7 +127,7 @@ def naive_tm_membership(g, d, m):
     """
     n = g.n
     if n == 0:
-        return False
+        raise DomainError("the empty graph has no model")
     if d == 0:
         return n == 1
     if n == 1:
@@ -211,14 +212,16 @@ def _unpruned_witness(g, m, depth, levels, last_max_block):
     for chain in _unpruned_chains(tuple(range(g.n)), levels, last_max_block):
         found = _search_coloring(g, m, depth, _unpruned_meet_matrix(g.n, chain))
         if found is not None:
-            return _build_witness(g, depth, m, chain, *found)
+            return _build_witness(g, depth, m, chain, found)
     return None
 
 
 def unpruned_tm_membership(g, d, m):
     """tm_membership with no pruning: each complete chain, in enumeration
     order, gets a fresh meet matrix and a full coloring search."""
-    if g.n == 0 or (d == 0 and g.n != 1):
+    if g.n == 0:
+        raise DomainError("the empty graph has no model")
+    if d == 0 and g.n != 1:
         return None
     if d == 0:
         return TreeModel(RootedTree([-1]), 0, m, {0: 0}, {0: 1}, set())
@@ -227,7 +230,9 @@ def unpruned_tm_membership(g, d, m):
 
 def unpruned_tmc_membership(g, d, m, k):
     """tmc_membership with no pruning, as unpruned_tm_membership."""
-    if g.n == 0 or (d == 0 and g.n > k):
+    if g.n == 0:
+        raise DomainError("the empty graph has no model")
+    if d == 0 and g.n > k:
         return None
     model = _unpruned_witness(g, m, d + 1, d, k)
     return None if model is None else CopiedTreeModel(model, d, m, k)
@@ -239,7 +244,7 @@ def exhaustive_sc_membership(g, depth):
     recurses into the components of the flipped graph, memoized on
     (canonical form, remaining depth)."""
     if g.n == 0:
-        return None
+        raise DomainError("the empty graph has no model")
     memo = {}
 
     def member(h, budget):

@@ -11,7 +11,8 @@ from shrubkit import constructions, depth, mso, solver, tree_model
 from shrubkit.cli import _CAP_NAMES, main
 from shrubkit.graph import graph_from_text, graph_to_text
 from shrubkit.sc_model import evaluate_sc, sc_from_text
-from shrubkit.tree_model import model_from_text, verify
+from shrubkit.rooted_tree import RootedTree
+from shrubkit.tree_model import TreeModel, model_from_text, model_to_text, verify
 
 
 def run(argv):
@@ -79,6 +80,19 @@ class TestConvert:
         assert run(["convert", "tm-eval", "--in", str(model), "-o", str(want)])[0] == 0
         assert got.read_text(encoding="utf-8") == want.read_text(encoding="utf-8")
         assert graph_from_text(got.read_text(encoding="utf-8")) == make_clique(4)
+
+    @pytest.mark.parametrize("depth", [400, 450])
+    def test_tm_to_sc_on_a_deep_one_color_model(self, tmp_path, depth):
+        # a chain of inner nodes over two leaves, which the model reader takes
+        parent = [-1] + list(range(depth - 1)) + [depth - 1, depth - 1]
+        model = TreeModel(RootedTree(parent), depth, 1, {depth: 0, depth + 1: 1},
+                          {depth: 1, depth + 1: 1}, set())
+        m_file = write(tmp_path / "deep.tm", model_to_text(model))
+        sc = tmp_path / "t.sc"
+        code, _, err = run(["convert", "tm-to-sc", "--in", m_file, "-o", str(sc)])
+        assert (code, err) == (0, "")
+        t = sc_from_text(sc.read_text(encoding="utf-8"))
+        assert evaluate_sc(t) == realize(model)
 
     def test_sc_to_tm(self, tmp_path):
         model = tmp_path / "model.tm"
@@ -175,6 +189,15 @@ class TestSolve:
         assert evaluate_sc(t) == make_path(2)
         code, out, _ = run(["solve", "sc", "--graph", g_file, "--n", "0"])
         assert code == 1 and out.splitlines()[0].startswith("NO")
+
+    @pytest.mark.parametrize("what", [["tm", "--d", "1", "--m", "1"],
+                                      ["tmc", "--d", "1", "--m", "1", "--k", "1"],
+                                      ["sc", "--n", "2"]])
+    def test_the_empty_graph_is_an_error_not_a_no(self, tmp_path, what):
+        g_file = write(tmp_path / "empty.g", graph_to_text(Graph(0)))
+        code, out, err = run(["solve", *what, "--graph", g_file])
+        assert (code, out) == (2, "")
+        assert err == "error: the empty graph has no model\n"
 
     def test_td_and_nd(self, tmp_path):
         g_file = write(tmp_path / "p6.g", graph_to_text(make_path(6)))

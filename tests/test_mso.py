@@ -156,6 +156,22 @@ BAD_CONSTANTS = [
     (RelAtom, (b"r", "x", "y")),
 ]
 
+# names format_formula would write as text the parser refuses
+UNPARSABLE_NAMES = [
+    (HasLabel, ("a b", "x")),
+    (RelAtom, ("r-s", "x", "y")),
+    (HasLabel, ("é", "x")),
+    (ExistsVertex, ("in", TrueConst())),
+    (Eq, ("label_a", "y")),
+    (Eq, ("é", "x")),
+    (Edge, ("x y", "z")),
+]
+
+NAME_POOL = ["x", "x1", "x_y", "xY", "X", "Xs", "X_1", "_x", "1x", "x y", "x-y",
+             "x'", "", "é", "xé", "in", "true", "false", "edge", "mod", "ex1",
+             "all2", "inx", "edges", "label_a", "rel_b", "labelx", "label_",
+             "a", "A", "1", "_", "99_a"]
+
 
 class TestFormulaBasics:
     def test_validation(self):
@@ -184,6 +200,30 @@ class TestFormulaBasics:
     ])
     def test_constant_fields_round_trip(self, phi):
         assert parse_formula(format_formula(phi)) == phi
+
+    @pytest.mark.parametrize("kind, args", UNPARSABLE_NAMES, ids=[
+        f"{kind.__name__}{args[:1]!r}" for kind, args in UNPARSABLE_NAMES])
+    def test_names_the_parser_refuses_are_refused(self, kind, args):
+        with pytest.raises(ValidationError):
+            kind(*args)
+
+    def test_constructors_and_parser_share_one_name_rule(self):
+        for name in NAME_POOL:
+            cases = (
+                (f"ex1 {name}. true", lambda: ExistsVertex(name, TrueConst())),
+                (f"ex2 {name}. true", lambda: ExistsSet(name, TrueConst())),
+                (f"label_{name}(x)", lambda: HasLabel(name, "x")),
+                (f"rel_{name}(x, y)", lambda: RelAtom(name, "x", "y")),
+            )
+            for text, build in cases:
+                try:
+                    phi = build()
+                except ValidationError:
+                    with pytest.raises(FormulaParseError):
+                        parse_formula(text)
+                else:
+                    assert parse_formula(text) == phi
+                    assert parse_formula(format_formula(phi)) == phi
 
     def test_free_vars(self):
         phi = ExistsVertex("x", And(Edge("x", "y"), InSet("x", "X")))

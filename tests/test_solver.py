@@ -1,12 +1,17 @@
 """Exact membership solvers and the minimal-obstruction enumeration."""
 
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shrubkit import (
+    DomainError,
     Graph,
     ResourceLimitError,
+    SignatureConflict,
     are_isomorphic,
     enumerate_graphs,
     evaluate_sc,
@@ -77,7 +82,8 @@ class TestTmMembership:
     def test_depth_zero(self):
         assert tm_membership(Graph(1), 0, 1) is not None
         assert tm_membership(Graph(2), 0, 1) is None
-        assert tm_membership(Graph(0), 1, 1) is None
+        with pytest.raises(DomainError, match="empty graph"):
+            tm_membership(Graph(0), 1, 1)
 
     def test_witness_parameters(self):
         rng = random_seeded(71)
@@ -231,6 +237,66 @@ class TestPrunedWalk:
         CountingGraph.edge_tests = 0
         assert tm_membership(g, 3, 1) is None
         assert CountingGraph.edge_tests < 200_000
+
+
+# SHA-256 over _witness_dump of every answer in _digest_calls, taken before
+# the witness assembly was rewritten to sign its tree with infer_signature
+WITNESS_DIGEST = "e6753194255a8b62b7bb1617a0022b0767a427c1f66588bf03e5d2126ac87559"
+
+
+def _witness_dump(extra, w):
+    # values, not pickle bytes: a frozenset's iteration order may differ
+    # between equal signatures
+    if w is None:
+        return b"None"
+    model = w.model if extra else w
+    return repr((extra, model.tree.parent, model.depth, model.colors,
+                 sorted(model.leaf_vertex.items()),
+                 sorted(model.leaf_color.items()),
+                 sorted(model.signature))).encode()
+
+
+def _digest_calls():
+    """(extra, witness) for every graph on 1-5 vertices, edge masks over the
+    pairs in itertools.combinations order: tm at d in 1-3 and m in 1-2, then
+    tmc at d in 1-2, m in 1-2 and k = 2, with extra = (d, m, k)."""
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            for d in (1, 2, 3):
+                for m in (1, 2):
+                    yield (), tm_membership(g, d, m)
+            for d in (1, 2):
+                for m in (1, 2):
+                    yield (d, m, 2), tmc_membership(g, d, m, 2)
+
+
+class TestWitnessAssembly:
+    def test_witnesses_match_the_pinned_digest(self):
+        digest = hashlib.sha256()
+        calls = 0
+        for extra, w in _digest_calls():
+            digest.update(_witness_dump(extra, w))
+            calls += 1
+        assert calls == 10_990
+        assert digest.hexdigest() == WITNESS_DIGEST
+
+    def test_a_coloring_the_graph_refutes_is_caught(self):
+        # the path on three vertices with one level and one color: the pairs
+        # (0, 1) and (0, 2) share a class, but only the first is an edge
+        with pytest.raises(SignatureConflict):
+            solver._build_witness(make_path(2), 1, 1, [], [1, 1, 1])
+
+
+class TestEmptyGraph:
+    def test_every_membership_solver_refuses_it(self):
+        for solve in (lambda: tm_membership(Graph(0), 1, 1),
+                      lambda: tm_membership(Graph(0), 0, 1),
+                      lambda: tmc_membership(Graph(0), 1, 1, 1),
+                      lambda: sc_membership(Graph(0), 1)):
+            with pytest.raises(DomainError, match="empty graph"):
+                solve()
 
 
 class TestTmcMembership:
