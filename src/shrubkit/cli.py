@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import constructions, depth, lincw, sc_model, solver, tree_model
 from .errors import ShrubError, ValidationError
@@ -135,7 +135,13 @@ def _command(path, *arguments, **options):
     return register
 
 
+@cache
 def _build_parser():
+    """The one parser of this process, built on the first call of `main`.
+
+    Reusing it is safe: argparse keeps each call's state in the namespace
+    it returns, and the handlers look their callees up when they run.
+    """
     description = "Tree-models, SC-trees, conversions, solvers, and logic."
     top = argparse.ArgumentParser(prog="shrubkit", description=description)
     top.add_argument("--format", choices=("text", "structured"), default="text",

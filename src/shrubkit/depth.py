@@ -81,9 +81,20 @@ def validate_td(g, f):
 def tree_depth(g, cap=DEFAULT_TD_CAP):
     """Exact tree-depth with a witness forest of height tree_depth - 1.
 
-    Recursion over connected vertex subsets: a disconnected graph takes the
-    maximum over components, a connected one is 1 + the best vertex
-    deletion.  Subsets are memoized as bitmasks.
+    Vertex subsets are bitmasks.  `at_most(mask, k)` decides td(mask) <= k:
+    a disconnected subset needs every component to pass at k, a connected
+    one some vertex whose deletion passes at k - 1, and a subset of at most
+    k vertices passes at once.  Each decision is stored as a bound, an upper
+    one when it passes and a lower one when it fails, so a subset is never
+    decided twice at the same k.  The exact value searches downward from
+    the best known upper bound (or the vertex count) and stops at the floor
+    max(known lower bound, degeneracy + 1), which holds because treewidth is
+    at least the degeneracy and tree-depth exceeds treewidth.
+
+    The witness roots each component at its first vertex, in ascending
+    order, whose deletion lowers the tree-depth; since td(G - v) is td(G)
+    or td(G) - 1 for a connected G, that is the first v passing
+    at_most(comp - v, td(comp) - 1).
     """
     n = g.n
     if n > cap:
@@ -110,39 +121,69 @@ def tree_depth(g, cap=DEFAULT_TD_CAP):
             rest &= ~comp
         return comps
 
-    memo = {}
+    def members(mask):
+        return [v for v in range(n) if mask >> v & 1]
+
+    def degeneracy(mask):
+        best = 0
+        while mask:
+            v = min(members(mask), key=lambda u: (adj[u] & mask).bit_count())
+            best = max(best, (adj[v] & mask).bit_count())
+            mask &= ~(1 << v)
+        return best
+
+    lower = {}  # mask -> a proven lower bound on its tree-depth
+    upper = {}  # mask -> a proven upper bound
+
+    def at_most(mask, k, comps=None):
+        """td(mask) <= k; `comps` are mask's components when already known."""
+        if upper.get(mask, mask.bit_count()) <= k:
+            return True
+        if lower.get(mask, 1) > k:
+            return False
+        comps = comps or split(mask)
+        ok = False
+        if len(comps) > 1:
+            for c in comps:
+                ok = at_most(c, k, [c])
+                if not ok:
+                    break
+        elif k > 1:
+            rest = mask
+            while rest:
+                v = rest & -rest
+                ok = at_most(mask ^ v, k - 1)
+                if ok:
+                    break
+                rest ^= v
+        if ok:
+            upper[mask] = k
+        else:
+            lower[mask] = k + 1
+        return ok
 
     def td(mask):
-        if mask == 0:
-            return 0
-        if mask in memo:
-            return memo[mask]
-        comps = split(mask)
-        if len(comps) > 1:
-            result = max(td(c) for c in comps)
-        else:
-            result = 1 + min(
-                td(mask & ~(1 << v)) for v in range(n) if mask >> v & 1
-            )
-        memo[mask] = result
-        return result
+        k = upper.get(mask, mask.bit_count())
+        floor = max(lower.get(mask, 1), degeneracy(mask) + 1)
+        while k > floor and at_most(mask, k - 1):
+            k -= 1
+        return k
 
     parent = [-1] * n
 
     def build(mask, above):
         for comp in split(mask):
             target = td(comp)
-            for v in range(n):
-                if comp >> v & 1 and td(comp & ~(1 << v)) == target - 1:
+            for v in members(comp):
+                if at_most(comp & ~(1 << v), target - 1):
                     parent[v] = above
                     build(comp & ~(1 << v), v)
                     break
 
+    value = 0
     if n:
         value = td((1 << n) - 1)
         build((1 << n) - 1, -1)
-    else:
-        value = 0
     return value, EliminationForest(parent)
 
 

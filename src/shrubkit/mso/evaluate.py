@@ -1,9 +1,11 @@
 """Formula evaluation over small labeled structures.
 
-`evaluate` compiles the formula once per call into nested closures and runs
-the outermost one.  Each variable of the assignment and each binder owns one
-slot of a flat list environment.  Names are resolved to slots at compile
-time, with lexical shadowing, so a quantifier loop just writes its own slot.
+`compile_formula` turns a formula into nested closures once, and `evaluate`
+runs the outermost one under an assignment; given a plain formula, it
+compiles it for that one call.  Each variable of the assignment and each
+binder owns one slot of a flat list environment.  Names are resolved to
+slots at compile time, with lexical shadowing, so a quantifier loop just
+writes its own slot.
 Vertex sets are bitmasks; set quantifiers therefore cost 2^n per nesting
 level, which the caps keep honest.  Connectives short-circuit left to right,
 and an atom naming a missing relation, or a node of unknown kind, raises only
@@ -78,6 +80,16 @@ def _as_structure(structure):
     raise DomainError(f"cannot evaluate over {type(structure).__name__}")
 
 
+@dataclass(frozen=True, slots=True)
+class CompiledFormula:
+    """A formula compiled by `compile_formula` for one structure and one
+    tuple of assigned variable names; `evaluate` runs it, as `re.match`
+    runs a compiled pattern."""
+
+    structure: object
+    holds: object  # holds(assignment) -> bool
+
+
 def evaluate(
     structure,
     formula,
@@ -88,8 +100,29 @@ def evaluate(
     """Truth of the formula on the structure under an assignment.
 
     The assignment maps first-order variables to vertices and set
-    variables to vertex iterables; every free variable needs an entry.
+    variables to vertex iterables; every free variable needs an entry.  A
+    formula compiled for this structure is run as it is, so a caller that
+    evaluates one formula under many assignments compiles it once.
     """
+    assignment = assignment or {}
+    if type(formula) is not CompiledFormula:
+        formula = compile_formula(structure, formula, tuple(assignment),
+                                  max_vertices, max_set_quantifiers)
+    elif formula.structure is not structure:
+        raise DomainError("formula was compiled for another structure")
+    return formula.holds(assignment)
+
+
+def compile_formula(
+    structure,
+    formula,
+    names=(),
+    max_vertices=DEFAULT_VERTEX_CAP,
+    max_set_quantifiers=DEFAULT_SET_QUANTIFIER_CAP,
+):
+    """The formula compiled for `structure`, with the variables `names`
+    assigned by each later `evaluate` call; the caps and the free variables
+    are checked here, once."""
     s = _as_structure(structure)
     n = s.n
     if n > max_vertices:
@@ -102,21 +135,9 @@ def evaluate(
             f"set quantifier nesting cap is {max_set_quantifiers}, got {rank}"
         )
 
-    env = []
-    scope = {}
-    for name, value in (assignment or {}).items():
-        if name and name[0].isupper():
-            mask = 0
-            for v in value:
-                if not 0 <= v < n:
-                    raise DomainError(f"assignment for {name} leaves the domain")
-                mask |= 1 << v
-            value = mask
-        elif not 0 <= value < n:
-            raise DomainError(f"assignment for {name} leaves the domain")
-        scope[name] = len(env)
-        env.append(value)
-
+    names = tuple(names)
+    scope = {name: slot for slot, name in enumerate(names)}
+    env = [None] * len(names)
     # a lower-case name can only be assigned a vertex, an upper-case one a set
     free_fo, free_set = free_vars(formula)
     missing = (free_fo | free_set) - scope.keys()
@@ -198,4 +219,23 @@ def evaluate(
 
         return fail
 
-    return compile_(formula, scope)()
+    run = compile_(formula, scope)
+
+    def holds(assignment):
+        for slot, name in enumerate(names):
+            if name not in assignment:
+                raise DomainError(f"no assignment for {name}")
+            value = assignment[name]
+            if name and name[0].isupper():
+                mask = 0
+                for v in value:
+                    if not 0 <= v < n:
+                        raise DomainError(f"assignment for {name} leaves the domain")
+                    mask |= 1 << v
+                value = mask
+            elif not 0 <= value < n:
+                raise DomainError(f"assignment for {name} leaves the domain")
+            env[slot] = value
+        return run()
+
+    return CompiledFormula(structure, holds)

@@ -31,7 +31,7 @@ from .formulas import (
     fresh_name_pool,
     substitute_fo,
 )
-from .evaluate import evaluate
+from .evaluate import compile_formula, evaluate
 
 
 def _pick_vars(frees, wanted, what):
@@ -95,22 +95,23 @@ def apply_interpretation(interp, structure, **caps):
         raise DomainError(
             f"cannot interpret over {type(structure).__name__}"
         ) from None
+    # each formula is compiled once, and only if some vertex or pair needs it
     xv, yv = interp.edge_vars
-    domain = [
-        v
-        for v in range(n)
-        if evaluate(structure, interp.domain_formula, {interp.domain_var: v}, **caps)
-    ]
+    domain = []
+    if n:
+        var = interp.domain_var
+        keep = compile_formula(structure, interp.domain_formula, (var,), **caps)
+        domain = [v for v in range(n) if evaluate(structure, keep, {var: v})]
     edges = []
-    for a in range(len(domain)):
-        for b in range(a + 1, len(domain)):
-            u, v = domain[a], domain[b]
-            if evaluate(
-                structure, interp.edge_formula, {xv: u, yv: v}, **caps
-            ) or evaluate(
-                structure, interp.edge_formula, {xv: v, yv: u}, **caps
-            ):
-                edges.append((a, b))
+    if len(domain) > 1:
+        join = compile_formula(structure, interp.edge_formula, (xv, yv), **caps)
+        for a in range(len(domain)):
+            for b in range(a + 1, len(domain)):
+                u, v = domain[a], domain[b]
+                if evaluate(structure, join, {xv: u, yv: v}) or evaluate(
+                    structure, join, {xv: v, yv: u}
+                ):
+                    edges.append((a, b))
     return Graph(len(domain), edges), tuple(domain)
 
 

@@ -147,12 +147,17 @@ def _first_hit(g, m, depth, levels, last_max_block):
             for v in block[i + 1:]:
                 row[v] = together if part_of[v] == home else k - 1
 
-    def walk(found):
-        if not pending:
-            return chain, found
-        block, k = pending.pop()
+    def choose(frame):
+        """Fix the frame's next partition that admits a coloring, after
+        undoing the one it fixed before; None once none is left, with the
+        block's pairs open and the block pending again."""
+        block, k, partitions, found, taken = frame
         last = k == levels
-        for parts in _iter_partitions(block, last_max_block if last else None):
+        if taken:
+            if not last:
+                del pending[-taken:]
+            del chain[k - 1][-taken:]
+        for parts in partitions:
             fix(block, parts, k)
             if len(parts) > 1 or (last and len(block) > 1):
                 sub = _search_coloring(g, m, depth, meet)
@@ -162,12 +167,8 @@ def _first_hit(g, m, depth, levels, last_max_block):
                 chain[k - 1].extend(parts)
                 if not last:
                     pending.extend((part, k + 1) for part in reversed(parts))
-                hit = walk(sub)
-                if hit is not None:
-                    return hit
-                if not last:
-                    del pending[-len(parts):]
-                del chain[k - 1][-len(parts):]
+                frame[4] = len(parts)
+                return sub
         for i, u in enumerate(block):
             row = meet[u]
             for v in block[i + 1:]:
@@ -176,7 +177,20 @@ def _first_hit(g, m, depth, levels, last_max_block):
         return None
 
     found = _search_coloring(g, m, depth, meet)
-    return None if found is None else walk(found)
+    # depth first over the pending blocks on an explicit stack, so that any
+    # depth fits; one frame per block with a fixed partition:
+    # [block, level, partitions left, coloring before, parts taken]
+    frames = []
+    while found is not None and pending:
+        block, k = pending.pop()
+        frames.append([block, k, _iter_partitions(
+            block, last_max_block if k == levels else None), found, 0])
+        found = None
+        while frames and found is None:
+            found = choose(frames[-1])
+            if found is None:
+                frames.pop()
+    return None if found is None else (chain, found)
 
 
 def tm_membership(g, d, m, cap=DEFAULT_TM_CAP):
@@ -212,12 +226,40 @@ def tmc_membership(g, d, m, k, cap=DEFAULT_TM_CAP):
 
 
 def _relabel_sc(t, mapping):
-    if t.is_leaf:
-        return SCTree.leaf(mapping[t.vertex])
-    return SCTree.inner(
-        [_relabel_sc(c, mapping) for c in t.children],
-        [mapping[v] for v in t.x],
-    )
+    """t with each vertex v renamed mapping[v], built children first over an
+    explicit stack, so that any height fits."""
+    done = []
+    stack = [(t, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node.is_leaf:
+            done.append(SCTree.leaf(mapping[node.vertex]))
+        elif expanded:
+            cut = len(done) - len(node.children)
+            children = done[cut:]
+            del done[cut:]
+            done.append(SCTree.inner(children, [mapping[v] for v in node.x]))
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(node.children))
+    return done[0]
+
+
+def _drive(gen):
+    """Result of a generator that yields generators for its sub-results,
+    each sent back when it returns; an explicit stack stands in for the
+    call stack, so that any depth fits."""
+    stack, value = [gen], None
+    while stack:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as stop:
+            stack.pop()
+            value = stop.value
+        else:
+            stack.append(sub)
+            value = None
+    return value
 
 
 def _clique_vertices(g):
@@ -238,7 +280,9 @@ def sc_membership(g, depth, cap=DEFAULT_SC_CAP):
     and height 1 holds exactly a clique plus isolated vertices, whose witness
     flips the clique (or nothing) over the leaves.  A YES at height 1 still
     goes through the canonical form and the memo, so that its witness lists
-    the leaves in canonical order, as the complement-set loop did.
+    the leaves in canonical order, as the complement-set loop did.  The two
+    steps of the recursion are generators run by `_drive`, so a large budget
+    does not overflow the stack.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
@@ -257,7 +301,7 @@ def sc_membership(g, depth, cap=DEFAULT_SC_CAP):
             witness = memo[key, budget]
         else:
             hc = relabel_graph(h, perm)
-            witness = _member_canonical(hc, budget)
+            witness = yield _member_canonical(hc, budget)
             memo[key, budget] = witness
         if witness is None:
             return None
@@ -283,7 +327,7 @@ def sc_membership(g, depth, cap=DEFAULT_SC_CAP):
                     children = None
                     break
                 sub, ids = induced_subgraph(flipped, comp)
-                sub_witness = member(sub, budget - 1)
+                sub_witness = yield member(sub, budget - 1)
                 if sub_witness is None:
                     children = None
                     break
@@ -292,7 +336,7 @@ def sc_membership(g, depth, cap=DEFAULT_SC_CAP):
                 return SCTree.inner(children, x)
         return None
 
-    return member(g, depth)
+    return _drive(member(g, depth))
 
 
 _GRAPH_LISTS = {0: (Graph(0),)}

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -118,6 +120,35 @@ def test_repeat_calls_give_the_same_bytes(tmp_path):
         assert runs[0] == runs[2] and runs[1] == runs[3]
         assert runs[0] != runs[1]
         assert all(code in (0, 1) for code, _, _ in runs)
+
+
+def test_the_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+FRESH_MAIN = "import sys; from shrubkit import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+def test_refusals_and_help_leave_the_parser_as_built(tmp_path, monkeypatch):
+    """After argparse refuses a call and after --help, a valid call prints
+    what it prints in a fresh process."""
+    monkeypatch.delenv("SHRUBKIT_CAPS", raising=False)
+    g = tmp_path / "p3.g"
+    g.write_text(graph_to_text(make_path(3)), encoding="utf-8")
+    transduce = ["mso", "transduce", "--graph", str(g), "--copies", "2",
+                 "--mu", "label_p(x) & !(x = y)"]
+    valid = [transduce, ["--format", "structured", "solve", "td", "--graph", str(g)]]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    fresh = []
+    for argv in valid:
+        done = subprocess.run([sys.executable, "-c", FRESH_MAIN, *argv], env=env,
+                              capture_output=True, text=True, check=False)
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    # the refused call has already appended to --label when --copies fails
+    refused = run(transduce[:-4] + ["--label", "p=0,2", "--copies", "two"])
+    assert refused[0] == 2 and "invalid int value" in refused[2]
+    assert run(["mso", "transduce", "--help"])[0] == 0
+    assert [run(argv) for argv in valid] == fresh
 
 
 def test_malformed_label_is_an_error(tmp_path):

@@ -1,5 +1,7 @@
 """Elimination forests, tree-depth and the depth-to-model construction."""
 
+import hashlib
+import itertools
 import math
 
 import pytest
@@ -112,6 +114,49 @@ class TestTreeDepth:
         with pytest.raises(ResourceLimitError):
             tree_depth(make_clique(5), cap=4)
         assert tree_depth(make_clique(5), cap=5)[0] == 5
+
+
+# SHA-256 of the (value, parent) dumps below, taken while tree_depth still
+# memoized exact values over every subset
+TD_DIGEST = "9bf262e6432544071f5cfb3276820c6c9f3c4fd72f223cdf155c3e61c6641f7b"
+TD_CAP_DIGEST = "5a81db7aedf256676d3df3e702fd5e2b1c14eb2c5787c58a76c66d5d11a54ebf"
+
+
+def _td_digest_graphs():
+    """Every graph on 1-5 vertices, edge masks over the pairs in
+    itertools.combinations order, then 300 seeded graphs on 6-12."""
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+    rng = random_seeded(90)
+    for _ in range(300):
+        yield random_graph(rng, rng.randint(6, 12))
+
+
+def _digest(graphs):
+    digest = hashlib.sha256()
+    values = []
+    for g in graphs:
+        value, forest = tree_depth(g)
+        digest.update(repr((value, forest.parent)).encode())
+        values.append(value)
+    return digest.hexdigest(), values
+
+
+class TestTreeDepthWitnesses:
+    """The decision search returns the forests of the exact-value memo."""
+
+    def test_forests_match_the_pinned_digest(self):
+        graphs = list(_td_digest_graphs())
+        assert len(graphs) == 1399
+        assert _digest(graphs)[0] == TD_DIGEST
+
+    def test_values_and_forests_at_the_cap(self):
+        graphs = [make_clique(16), make_biclique(8, 8), make_path(15)] + [
+            random_graph(random_seeded(1), 16, p) for p in (0.5, 0.7, 0.9)
+        ]
+        assert _digest(graphs) == (TD_CAP_DIGEST, [16, 9, 5, 11, 13, 15])
 
 
 class TestTdToModel:

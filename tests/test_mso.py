@@ -1,6 +1,7 @@
 """Logic engine: formulas, parsing, evaluation, interpretations, transductions."""
 
 import dataclasses
+import importlib
 import itertools
 import pickle
 
@@ -58,6 +59,7 @@ from shrubkit.mso import (
     transduction_images,
 )
 from shrubkit.mso import formulas
+from shrubkit.mso.evaluate import compile_formula
 from shrubkit.mso.parser import MAX_NESTING
 
 from .helpers import (
@@ -627,8 +629,36 @@ class TestEvaluate:
         assert not evaluate(empty, parse_formula("ex2 X. mod(1, 2, X)"))
         assert evaluate(empty, parse_formula("all2 X. all1 x. !(x in X)"))
 
+    def test_a_compiled_formula_runs_on_its_own_structure(self):
+        g = make_path(2)
+        near = compile_formula(g, parse_formula("edge(x, y) | x in X"), ("x", "y", "X"))
+        assert evaluate(g, near, {"x": 0, "y": 1, "X": []})
+        assert not evaluate(g, near, {"x": 0, "y": 2, "X": []})
+        assert evaluate(g, near, {"x": 0, "y": 2, "X": [0]})
+        with pytest.raises(DomainError, match="another structure"):
+            evaluate(make_path(2), near, {"x": 0, "y": 1, "X": []})
+        with pytest.raises(DomainError, match="no assignment for y"):
+            evaluate(g, near, {"x": 0, "X": []})
+        with pytest.raises(DomainError, match="leaves the domain"):
+            evaluate(g, near, {"x": 0, "y": 1, "X": [3]})
+        with pytest.raises(DomainError, match="unassigned free variables: X"):
+            compile_formula(g, parse_formula("x in X"), ("x",))
+
 
 class TestInterpretation:
+    def test_each_formula_is_compiled_once(self, monkeypatch):
+        # the package re-exports the function `evaluate` under the module's name
+        evaluate_module = importlib.import_module("shrubkit.mso.evaluate")
+        ranked = []
+        rank = evaluate_module.set_quantifier_rank
+        monkeypatch.setattr(evaluate_module, "set_quantifier_rank",
+                            lambda f: ranked.append(f) or rank(f))
+        interp = Interpretation(parse_formula("ex1 y. edge(x, y)"),
+                                parse_formula("ex1 z. (edge(x, z) & edge(z, y))"))
+        h, ids = apply_interpretation(interp, Graph(5, [(0, 1), (1, 2), (2, 3)]))
+        assert ids == (0, 1, 2, 3) and h == Graph(4, [(0, 2), (1, 3)])
+        assert ranked == [interp.domain_formula, interp.edge_formula]
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             Interpretation(parse_formula("x in X"), parse_formula("edge(x, y)"))

@@ -289,6 +289,44 @@ class TestWitnessAssembly:
             solver._build_witness(make_path(2), 1, 1, [], [1, 1, 1])
 
 
+def _sc_dump(t):
+    """Pre-order (X, child count) and leaf entries, walked without recursion."""
+    out, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            out.append(("leaf", node.vertex))
+        else:
+            out.append((sorted(node.x), len(node.children)))
+            stack.extend(reversed(node.children))
+    return repr(out).encode()
+
+
+class TestDeepSearches:
+    """The chain walk and the SC recursion run on explicit stacks, so a large
+    depth is answered, not a RecursionError."""
+
+    def test_tm_at_depth_1000(self):
+        w = tm_membership(make_clique(3), 1000, 1)
+        assert w is not None and w.depth == 1000
+        assert realize(w) == make_clique(3)
+
+    def test_sc_at_height_1000(self):
+        # every level above 1 wraps one no-op node (X a single vertex)
+        w = sc_membership(make_clique(2), 1000)
+        assert w is not None and w.height == 1000
+        assert w.leaf_vertices == {0, 1}
+
+    def test_depth_300_witnesses_are_unchanged(self):
+        # digests taken while both searches still recursed, where d = 300 fit
+        tm = tm_membership(make_clique(3), 300, 1)
+        sc = sc_membership(make_clique(2), 300)
+        assert hashlib.sha256(_witness_dump((), tm)).hexdigest() == (
+            "a8c02a76fd8829fa2ad17d83a7d3cc571c3df18eb31d00b1148a73b50bce3a2e")
+        assert hashlib.sha256(_sc_dump(sc)).hexdigest() == (
+            "18c833f5fc781bd397a80c5d0a79e6b63e79ce93d8528ae1756450b14237f118")
+
+
 class TestEmptyGraph:
     def test_every_membership_solver_refuses_it(self):
         for solve in (lambda: tm_membership(Graph(0), 1, 1),
