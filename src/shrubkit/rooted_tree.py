@@ -1,8 +1,9 @@
 """Rooted trees on integer node ids, stored as parent arrays.
 
-Also the shared reader of the JSON tree formats (tree-models, SC-trees and
-colored trees): each is a tree of JSON object records, and every record must
-have one of the key sets its format allows, with integers given as JSON ints.
+Also the shared reader and writer of the JSON tree formats (tree-models,
+SC-trees and colored trees): each is a tree of JSON object records, and every
+record must have one of the key sets its format allows, with integers given
+as JSON ints.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def subtree_on(tree, keep):
 
 
 # ---------------------------------------------------------------------------
-# the JSON tree reader
+# the JSON tree reader and writer
 
 # A record shape maps each key to the kind of its value: int (a JSON int, not
 # a bool), dict (an object), list (any list, "children" holds the child
@@ -173,6 +174,50 @@ def load_json(text, what):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"bad {what} JSON: {exc}") from None
+
+
+def _json_scalar(value):
+    """JSON text of a value written on one line, or None for a non-empty
+    object or list."""
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, (dict, list, tuple)) and value:
+        return None
+    return json.dumps(value)
+
+
+def dump_json(doc):
+    """json.dumps(doc, indent=2, sort_keys=True), written over an explicit
+    stack so that any nesting fits."""
+    text = _json_scalar(doc)
+    if text is not None:
+        return text
+    out = []
+    # (value, indent) to open, or (text, None) to copy
+    stack = [(doc, "")]
+    while stack:
+        value, pad = stack.pop()
+        if pad is None:
+            out.append(value)
+            continue
+        inner = pad + "  "
+        if isinstance(value, dict):
+            opening, close = "{", "}"
+            items = [(f"{json.dumps(k)}: ", v) for k, v in sorted(value.items())]
+        else:
+            opening, close = "[", "]"
+            items = [("", v) for v in value]
+        stack.append((f"\n{pad}{close}", None))
+        for i in reversed(range(len(items))):
+            label, item = items[i]
+            head = f"{',' if i else opening}\n{inner}{label}"
+            text = _json_scalar(item)
+            if text is None:
+                stack.append((item, inner))
+                stack.append((head, None))
+            else:
+                stack.append((head + text, None))
+    return "".join(out)
 
 
 def check_record(record, shapes, what):

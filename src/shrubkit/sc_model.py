@@ -11,12 +11,11 @@ The file format is JSON: {"vertex": v} at leaves, {"X": [...], "children":
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ValidationError
 from .graph import Graph, flip_inside
-from .rooted_tree import RootedTree, flatten_records, load_json
+from .rooted_tree import RootedTree, dump_json, flatten_records, load_json
 from .tree_model import TreeModel, infer_signature
 
 
@@ -76,22 +75,45 @@ class SCTree:
         return f"SCTree(height={self.height}, n={len(self.leaf_vertices)})"
 
 
-def _eval_edges(t):
-    if t.is_leaf:
-        return set()
-    edges = set()
-    for child in t.children:
-        edges |= _eval_edges(child)
-    flip_inside(edges, t.x)
-    return edges
+def fold_sc(t, leaf, inner):
+    """Fold t bottom up: leaf(node, depth) at each leaf and inner(node, depth,
+    results) at each internal node, results in children order.  An explicit
+    stack stands in for the call stack, so that any height fits."""
+    done = []
+    stack = [(t, 0, False)]
+    while stack:
+        node, depth, expanded = stack.pop()
+        if node.is_leaf:
+            done.append(leaf(node, depth))
+        elif expanded:
+            cut = len(done) - len(node.children)
+            results = done[cut:]
+            del done[cut:]
+            done.append(inner(node, depth, results))
+        else:
+            stack.append((node, depth, True))
+            stack.extend((c, depth + 1, False) for c in reversed(node.children))
+    return done[0]
 
 
 def evaluate_sc(t):
-    """The graph an SCTree denotes; leaf ids must be exactly 0..n-1."""
+    """The graph an SCTree denotes; leaf ids must be exactly 0..n-1.
+
+    Children cover disjoint leaf sets and each X lies inside its node's
+    leaves, so the edge set is the symmetric difference of the pairs inside
+    every node's X, taken in any order.
+    """
     n = len(t.leaf_vertices)
     if t.leaf_vertices != frozenset(range(n)):
         raise ValidationError("leaf vertex ids must be exactly 0..n-1")
-    return Graph(n, _eval_edges(t))
+    edges = set()
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            flip_inside(edges, node.x)
+            stack.extend(node.children)
+    return Graph(n, edges)
 
 
 def pad_sc(t, target):
@@ -99,17 +121,12 @@ def pad_sc(t, target):
     if target < t.height:
         raise DomainError(f"target {target} is below the tree height {t.height}")
 
-    def rebuild(node, depth):
-        if node.is_leaf:
-            out = node
-            for _ in range(target - depth):
-                out = SCTree.inner((out,), frozenset())
-            return out
-        return SCTree.inner(
-            tuple(rebuild(c, depth + 1) for c in node.children), node.x
-        )
+    def leaf(node, depth):
+        for _ in range(target - depth):
+            node = SCTree.inner((node,), frozenset())
+        return node
 
-    return rebuild(t, 0)
+    return fold_sc(t, leaf, lambda node, _, children: SCTree.inner(children, node.x))
 
 
 def _level_schedule(model, lvl):
@@ -144,39 +161,36 @@ def tm_to_sc(model):
     and once after the union (adding exactly the cross pairs).
     """
     tree = model.tree
+    built, classes = {}, {}
 
-    def color_sets(node):
-        out = {}
-        for u in tree.leaf_descendants(node):
-            out.setdefault(model.leaf_color[u], set()).add(model.leaf_vertex[u])
-        return out
-
-    def build(node):
-        if tree.is_leaf(node):
-            return SCTree.leaf(model.leaf_vertex[node])
-        lvl = model.depth - tree.depth(node)
-        schedule = _level_schedule(model, lvl)
-        wrapped = []
-        for child in tree.children(node):
-            sub = build(child)
-            classes = color_sets(child)
-            for colors in schedule:
-                x = frozenset().union(*(classes.get(c, ()) for c in colors))
-                if len(x) >= 2:
-                    sub = SCTree.inner((sub,), x)
-            wrapped.append(sub)
-        classes = color_sets(node)
-        global_sets = []
+    def unions(sets, schedule):
         for colors in schedule:
-            x = frozenset().union(*(classes.get(c, ()) for c in colors))
+            x = frozenset().union(*(sets.get(c, ()) for c in colors))
             if len(x) >= 2:
-                global_sets.append(x)
+                yield x
+
+    # deepest nodes first, so that every child is built before its parent
+    for node in sorted(range(tree.n), key=tree.depth, reverse=True):
+        if tree.is_leaf(node):
+            v = model.leaf_vertex[node]
+            built[node] = SCTree.leaf(v)
+            classes[node] = {model.leaf_color[node]: {v}}
+            continue
+        schedule = _level_schedule(model, model.depth - tree.depth(node))
+        wrapped, merged = [], {}
+        for child in tree.children(node):
+            sub, sets = built.pop(child), classes.pop(child)
+            for x in unions(sets, schedule):
+                sub = SCTree.inner((sub,), x)
+            wrapped.append(sub)
+            for c, vs in sets.items():
+                merged.setdefault(c, set()).update(vs)
+        global_sets = list(unions(merged, schedule))
         out = SCTree.inner(tuple(wrapped), global_sets[0] if global_sets else ())
         for x in global_sets[1:]:
             out = SCTree.inner((out,), x)
-        return out
-
-    return build(tree.root)
+        built[node], classes[node] = out, merged
+    return built[tree.root]
 
 
 def sc_to_tm(t):
@@ -220,16 +234,14 @@ def sc_to_tm(t):
 # serialization
 
 
-def _sc_record(t):
-    if t.is_leaf:
-        return {"vertex": t.vertex}
-    children = sorted(t.children, key=lambda c: min(c.leaf_vertices))
-    return {"X": sorted(t.x), "children": [_sc_record(c) for c in children]}
+def _sc_record(node, _, records):
+    pairs = sorted(zip(node.children, records), key=lambda p: min(p[0].leaf_vertices))
+    return {"X": sorted(node.x), "children": [r for _, r in pairs]}
 
 
 def sc_to_text(t):
     """Canonical JSON serialization of an SCTree."""
-    return json.dumps(_sc_record(t), indent=2, sort_keys=True) + "\n"
+    return dump_json(fold_sc(t, lambda node, _: {"vertex": node.vertex}, _sc_record)) + "\n"
 
 
 _SC_SHAPES = ({"vertex": int}, {"X": (int,), "children": list})

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .errors import DomainError, ResourceLimitError
 from .graph import Graph, canonical_form, complement_on_subset, components, induced_subgraph, relabel_graph
 from .rooted_tree import RootedTree
-from .sc_model import SCTree
+from .sc_model import SCTree, fold_sc
 from .tree_model import CopiedTreeModel, TreeModel, infer_signature
 
 DEFAULT_TM_CAP = 10
@@ -226,23 +226,12 @@ def tmc_membership(g, d, m, k, cap=DEFAULT_TM_CAP):
 
 
 def _relabel_sc(t, mapping):
-    """t with each vertex v renamed mapping[v], built children first over an
-    explicit stack, so that any height fits."""
-    done = []
-    stack = [(t, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node.is_leaf:
-            done.append(SCTree.leaf(mapping[node.vertex]))
-        elif expanded:
-            cut = len(done) - len(node.children)
-            children = done[cut:]
-            del done[cut:]
-            done.append(SCTree.inner(children, [mapping[v] for v in node.x]))
-        else:
-            stack.append((node, True))
-            stack.extend((c, False) for c in reversed(node.children))
-    return done[0]
+    """t with each vertex v renamed mapping[v]."""
+    return fold_sc(
+        t,
+        lambda node, _: SCTree.leaf(mapping[node.vertex]),
+        lambda node, _, children: SCTree.inner(children, [mapping[v] for v in node.x]),
+    )
 
 
 def _drive(gen):
@@ -344,13 +333,27 @@ _GRAPH_LISTS = {0: (Graph(0),)}
 
 def enumerate_graphs(n):
     """Every graph on 0..n-1 up to isomorphism, each in canonical layout,
-    ordered by canonical form.  Levels are cached across calls."""
+    ordered by canonical form.  Levels are cached across calls.
+
+    Level n extends each graph g of level n-1 by a vertex n-1 joined to the
+    vertices of a mask, but only where n-1 has least degree in the result:
+    popcount(mask) <= deg_g(v) + [v in mask] for every v < n-1.  This is
+    complete, because every graph has a vertex of least degree, and deleting
+    it leaves a graph isomorphic to one of level n-1; the isomorphism carries
+    that vertex's neighbours to a mask the rule admits.  Equal canonical
+    keys give the same canonical layout, so which extension reaches a key
+    first does not change the output.
+    """
     if n < 0:
         raise DomainError("n must be >= 0")
     if n not in _GRAPH_LISTS:
         seen = {}
         for g in enumerate_graphs(n - 1):
+            degrees = [g.degree(v) for v in range(n - 1)]
             for mask in range(1 << (n - 1)):
+                k = mask.bit_count()
+                if any(d + (mask >> v & 1) < k for v, d in enumerate(degrees)):
+                    continue
                 edges = list(g.edges) + [
                     (v, n - 1) for v in range(n - 1) if mask >> v & 1
                 ]

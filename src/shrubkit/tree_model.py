@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import DomainError, SignatureConflict, ValidationError
 from .graph import Graph
-from .rooted_tree import RootedTree, check_record, flatten_records, load_json, subtree_on
+from .rooted_tree import RootedTree, check_record, dump_json, flatten_records, load_json, subtree_on
 
 
 @dataclass(frozen=True, slots=True)
@@ -369,17 +370,26 @@ def reduce_tree(ct, thresholds, modulus):
 # serialization
 
 
-def _node_record(model, u):
-    if model.tree.is_leaf(u):
-        return {"vertex": model.leaf_vertex[u], "color": model.leaf_color[u]}
-    records = [_node_record(model, c) for c in model.tree.children(u)]
-    return {"children": sorted(records, key=_record_key)}
+def _tree_record(model):
+    """The record tree of a model, children sorted by their keys.
 
-
-def _record_key(record):
-    if "vertex" in record:
-        return (0, record["color"], record["vertex"])
-    return (1, tuple(_record_key(c) for c in record["children"]))
+    A leaf's key is (0, color, vertex) and an internal node's is 1, then its
+    sorted children's keys, then -1.  These flat keys compare as the nested
+    tuples (0, color, vertex) and (1, tuple of child keys) would, but
+    without recursion, and the records are built deepest first.
+    """
+    tree = model.tree
+    records, keys = {}, {}
+    for u in sorted(range(tree.n), key=tree.depth, reverse=True):
+        if tree.is_leaf(u):
+            color, vertex = model.leaf_color[u], model.leaf_vertex[u]
+            records[u] = {"vertex": vertex, "color": color}
+            keys[u] = (0, color, vertex)
+            continue
+        children = sorted(tree.children(u), key=keys.__getitem__)
+        records[u] = {"children": [records.pop(c) for c in children]}
+        keys[u] = (1, *chain.from_iterable(keys.pop(c) for c in children), -1)
+    return records[tree.root]
 
 
 def model_to_text(model):
@@ -388,9 +398,9 @@ def model_to_text(model):
         "depth": model.depth,
         "colors": model.colors,
         "signature": sorted([i, j, lvl] for i, j, lvl in model.signature),
-        "tree": _node_record(model, model.tree.root),
+        "tree": _tree_record(model),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump_json(doc) + "\n"
 
 
 _MODEL_SHAPE = {"depth": int, "colors": int, "signature": ((int,),), "tree": dict}

@@ -1,5 +1,6 @@
 """Graph container, text format, isomorphism and twin machinery."""
 
+import functools
 import itertools
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shrubkit
 from shrubkit import (
@@ -247,7 +250,24 @@ def test_twin_partition_is_finest_twin_grouping():
 
 
 def test_enumerate_graphs_counts():
-    # unlabeled graph counts on 1..6 vertices
-    assert [len(enumerate_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+    # unlabeled graph counts on 1..7 vertices
+    counts = [len(enumerate_graphs(n)) for n in range(1, 8)]
+    assert counts == [1, 2, 4, 11, 34, 156, 1044]
     seen = {canonical_form(g)[0] for g in enumerate_graphs(5)}
     assert len(seen) == 34
+
+
+@functools.cache
+def _level_keys(n):
+    return {canonical_form(h)[0] for h in enumerate_graphs(n)}
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_enumerate_graphs_is_complete(data):
+    """Extending by least-degree vertices only still reaches every graph."""
+    n = data.draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [p for p in pairs if data.draw(st.booleans())]
+    key, _ = canonical_form(Graph(n, edges))
+    assert key in _level_keys(n)

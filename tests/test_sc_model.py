@@ -1,5 +1,8 @@
 """Subset-complementation trees and the conversions to and from tree-models."""
 
+import json
+import sys
+
 import pytest
 
 from shrubkit import (
@@ -8,7 +11,10 @@ from shrubkit import (
     SCTree,
     ValidationError,
     evaluate_sc,
+    RootedTree,
+    TreeModel,
     make_clique,
+    model_to_text,
     pad_sc,
     realize,
     sc_from_text,
@@ -169,3 +175,39 @@ class TestSerialization:
                     '{"children": [{"vertex": 0}]}'):
             with pytest.raises(ValidationError):
                 sc_from_text(bad)
+
+
+def _reference_text(doc):
+    """The standard library's writer, which recurses, given the stack room."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestDeepTrees:
+    """Evaluation, padding, conversion and both writers run on explicit
+    stacks, so a tree 1,000 levels deep fits."""
+
+    def test_one_color_chain_model_and_its_sc_image(self):
+        n = 1000
+        # a path of n - 1 nodes above a node with two leaves, joined at level 1
+        parent = [-1, *range(n - 1), n - 1, n - 1]
+        m = TreeModel(RootedTree(parent), n, 1, {n: 0, n + 1: 1},
+                      {n: 1, n + 1: 1}, {(1, 1, 1)})
+        record = {"children": [{"color": 1, "vertex": 0}, {"color": 1, "vertex": 1}]}
+        for _ in range(n - 1):
+            record = {"children": [record]}
+        doc = {"colors": 1, "depth": n, "signature": [[1, 1, 1]], "tree": record}
+        assert model_to_text(m) == _reference_text(doc)
+
+        t = tm_to_sc(m)
+        assert t.height == n and evaluate_sc(t) == make_clique(2)
+        record = {"X": [0, 1], "children": [{"vertex": 0}, {"vertex": 1}]}
+        for _ in range(n - 1):
+            record = {"X": [], "children": [record]}
+        assert sc_to_text(t) == _reference_text(record)
+        padded = pad_sc(t, n + 10)
+        assert padded.height == n + 10 and evaluate_sc(padded) == make_clique(2)

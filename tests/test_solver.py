@@ -21,6 +21,7 @@ from shrubkit import (
     make_path,
     minimal_obstructions,
     neighbourhood_diversity,
+    pad_sc,
     realize,
     sc_membership,
     tm_membership,
@@ -53,6 +54,31 @@ OBSTRUCTIONS_1_2_5 = [
     (5, ((1, 3), (2, 4))),
     (5, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4))),
 ]
+
+# SHA-256 of repr(enumerate_graphs(n)) for n = 0..7, taken while every
+# one-vertex extension was still canonized
+ENUMERATION_DIGESTS = [
+    "caf60527d3eaeab06179e2250559eea0087ca86a8ef353477fb70b39190bb6cb",
+    "f0bdc6a6239c22bff0391208a6f608f4b3ed4ada4b90f82649d0a8a56b6fe7ed",
+    "d4b58ab1141887a5737a7ae6abf3b7b67566dd59e079ea9d4c4f478ec86bcccd",
+    "98de9e139577b1166147762b9b9309a86c26af89a3b238095965197951cd922b",
+    "2c2c4555bd015e48580903816bee70614bbf762eb2baf28bd99783fd3e3f450f",
+    "b3d0893ac4c92b5493b7de7972753af6dcbdb3925b00c842108b348490fa839c",
+    "c27edff7356235efb71b3c706e2e8e8876010006d623ad29f603b50568379919",
+    "157df5e50fd70809450dfdaa79d5fbe0e06abc42e8084e97907e525da388a947",
+]
+
+# repr(minimal_obstructions(d, m, max_n)), frozen at the same time
+OBSTRUCTION_REPRS = {
+    (1, 1, 5): "[Graph(n=3, edges=[(1, 2)]), Graph(n=3, edges=[(0, 2), (1, 2)])]",
+    (1, 2, 6): "[Graph(n=4, edges=[(1, 3), (2, 3)]), "
+               "Graph(n=4, edges=[(0, 3), (1, 2), (1, 3), (2, 3)]), "
+               "Graph(n=4, edges=[(0, 2), (1, 3), (2, 3)]), "
+               "Graph(n=5, edges=[(1, 3), (2, 4)]), "
+               "Graph(n=5, edges=[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), "
+               "(2, 4), (3, 4)])]",
+    (2, 2, 5): "[Graph(n=5, edges=[(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)])]",
+}
 
 
 class TestTmMembership:
@@ -316,6 +342,8 @@ class TestDeepSearches:
         w = sc_membership(make_clique(2), 1000)
         assert w is not None and w.height == 1000
         assert w.leaf_vertices == {0, 1}
+        assert evaluate_sc(w) == make_clique(2)
+        assert evaluate_sc(pad_sc(w, 1010)) == make_clique(2)
 
     def test_depth_300_witnesses_are_unchanged(self):
         # digests taken while both searches still recursed, where d = 300 fit
@@ -490,7 +518,31 @@ class TestScClosedForms:
         assert len(calls) <= 1_000
 
 
+class TestGraphEnumeration:
+    def test_levels_are_pinned(self):
+        for n, digest in enumerate(ENUMERATION_DIGESTS):
+            got = hashlib.sha256(repr(enumerate_graphs(n)).encode()).hexdigest()
+            assert got == digest, n
+
+    def test_only_least_degree_extensions_are_canonized(self, monkeypatch):
+        # canonizing every extension took 11,291 calls up to level 7
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return canonical_form(g)
+
+        monkeypatch.setattr(solver, "canonical_form", counted)
+        monkeypatch.setattr(solver, "_GRAPH_LISTS", {0: (Graph(0),)})
+        enumerate_graphs(7)
+        assert len(calls) == 3132
+
+
 class TestObstructions:
+    def test_frozen_outputs(self):
+        for args, expected in OBSTRUCTION_REPRS.items():
+            assert repr(minimal_obstructions(*args)) == expected, args
+
     def test_tiny_range_is_empty(self):
         assert minimal_obstructions(1, 1, 2) == []
 

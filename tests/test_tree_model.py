@@ -1,6 +1,10 @@
 """Tree-models, k-copied models, colored trees and the sibling reduction."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrubkit import (
     ColoredTree,
@@ -30,6 +34,7 @@ from shrubkit import (
     verify,
     verify_k_copied,
 )
+from shrubkit.rooted_tree import dump_json
 
 from .helpers import (
     code_of_tuple,
@@ -255,6 +260,31 @@ class TestModelSerialization:
             # writer output is a canonical fixed point
             assert model_to_text(back) == text
 
+    def test_matches_the_recursive_writer(self):
+        # children sorted by nested keys and written by the standard library,
+        # as the writer did before it ran on an explicit stack
+        def record(m, u):
+            if m.tree.is_leaf(u):
+                return {"vertex": m.leaf_vertex[u], "color": m.leaf_color[u]}
+            return {"children": sorted((record(m, c) for c in m.tree.children(u)), key=key)}
+
+        def key(r):
+            if "vertex" in r:
+                return (0, r["color"], r["vertex"])
+            return (1, tuple(key(c) for c in r["children"]))
+
+        rng = random_seeded(27)
+        for _ in range(200):
+            m = random_tree_model(rng, max_depth=4)
+            ids = list(m.leaf_vertex.values())
+            rng.shuffle(ids)
+            m = TreeModel(m.tree, m.depth, m.colors, dict(zip(m.leaf_vertex, ids)),
+                          m.leaf_color, m.signature)
+            doc = {"depth": m.depth, "colors": m.colors,
+                   "signature": sorted(list(t) for t in m.signature),
+                   "tree": record(m, m.tree.root)}
+            assert model_to_text(m) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
     def test_rejects_malformed(self):
         for bad in ("{", "{}", '{"depth": 1, "colors": 1, "signature": []}',
                     '{"depth": 1, "colors": 1, "signature": [[1, 1]],'
@@ -369,3 +399,19 @@ def test_encode_colored_tree_shapes():
     assert g.n == 3 and g.edges == ((0, 1), (0, 2))
     assert g.vertex_labels(0) == {"c1", "root"}
     assert g.vertex_labels(1) == {"c2"}
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True)
+                | st.text(max_size=3))
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(JSON_DOCS)
+def test_dump_json_matches_the_standard_writer(doc):
+    assert dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
