@@ -8,6 +8,7 @@ with label i, `E i j` joins every i-labeled vertex to every j-labeled one,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import ValidationError
 from .graph import Graph
@@ -81,26 +82,15 @@ def tm_to_lincw(model):
     otherwise it is the realized graph renamed by leaf order.
     """
     d, m = model.depth, model.colors
-    tree = model.tree
 
-    min_vertex = {}
-    for leaf, v in model.leaf_vertex.items():
-        node = leaf
-        while node != -1:
-            if min_vertex.get(node, v) >= v:
-                min_vertex[node] = v
-            node = tree.parent[node]
+    def visit(node, done):
+        """(least vertex, leaves in tree order) of the subtree at node."""
+        if not done:
+            return model.leaf_vertex[node], [node]
+        done.sort(key=itemgetter(0))
+        return done[0][0], [leaf for _, leaves in done for leaf in leaves]
 
-    order = []
-
-    def walk(node):
-        if tree.is_leaf(node) and node in model.leaf_vertex:
-            order.append(node)
-            return
-        for child in sorted(tree.children(node), key=min_vertex.__getitem__):
-            walk(child)
-
-    walk(tree.root)
+    order = model.tree.fold(visit)[1]
 
     def code(color, t):
         return t * m + color

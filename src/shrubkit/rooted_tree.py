@@ -95,16 +95,25 @@ class RootedTree:
             for v in leaves[a + 1 :]:
                 yield u, v, self._depth[self.lca(u, v)]
 
-    def leaf_descendants(self, u):
-        out = []
-        stack = [u]
+    def fold(self, visit, top=None):
+        """Fold the subtree at `top` (the root by default) children first.
+
+        visit(u, values) is called at every node u with the list of its
+        children's values, in child order, and top's value is returned.
+        An explicit preorder stack stands in for the call stack, so that
+        any height fits.
+        """
+        children = self._children
+        order, stack = [], [self.root if top is None else top]
         while stack:
-            w = stack.pop()
-            if self.is_leaf(w):
-                out.append(w)
-            else:
-                stack.extend(self._children[w])
-        return sorted(out)
+            u = stack.pop()
+            order.append(u)
+            stack.extend(reversed(children[u]))
+        # reversed preorder puts every node after all of its descendants
+        value = {}
+        for u in reversed(order):
+            value[u] = visit(u, [value.pop(c) for c in children[u]])
+        return value[order[0]]
 
     def extend_path(self, u, length):
         """Append a fresh path of `length` edges below u.
@@ -163,9 +172,13 @@ _KIND_NAMES = {
 
 
 def _fits(value, kind):
-    if isinstance(kind, tuple):
-        return type(value) is list and all(_fits(x, kind[0]) for x in value)
-    return type(value) is kind
+    values = [value]
+    # unwrap one list level of a one-tuple kind per pass
+    while isinstance(kind, tuple):
+        if not all(type(v) is list for v in values):
+            return False
+        values, kind = [x for v in values for x in v], kind[0]
+    return all(type(v) is kind for v in values)
 
 
 def load_json(text, what):

@@ -161,7 +161,6 @@ def tm_to_sc(model):
     and once after the union (adding exactly the cross pairs).
     """
     tree = model.tree
-    built, classes = {}, {}
 
     def unions(sets, schedule):
         for colors in schedule:
@@ -169,17 +168,14 @@ def tm_to_sc(model):
             if len(x) >= 2:
                 yield x
 
-    # deepest nodes first, so that every child is built before its parent
-    for node in sorted(range(tree.n), key=tree.depth, reverse=True):
-        if tree.is_leaf(node):
+    def visit(node, done):
+        """(SC-tree, vertex set of each color) of the subtree at node."""
+        if not done:
             v = model.leaf_vertex[node]
-            built[node] = SCTree.leaf(v)
-            classes[node] = {model.leaf_color[node]: {v}}
-            continue
+            return SCTree.leaf(v), {model.leaf_color[node]: {v}}
         schedule = _level_schedule(model, model.depth - tree.depth(node))
         wrapped, merged = [], {}
-        for child in tree.children(node):
-            sub, sets = built.pop(child), classes.pop(child)
+        for sub, sets in done:
             for x in unions(sets, schedule):
                 sub = SCTree.inner((sub,), x)
             wrapped.append(sub)
@@ -189,15 +185,17 @@ def tm_to_sc(model):
         out = SCTree.inner(tuple(wrapped), global_sets[0] if global_sets else ())
         for x in global_sets[1:]:
             out = SCTree.inner((out,), x)
-        built[node], classes[node] = out, merged
-    return built[tree.root]
+        return out, merged
+
+    return tree.fold(visit)[0]
 
 
 def sc_to_tm(t):
     """Tree-model of depth height(t) with at most 2^height colors.
 
     After padding the leaves to uniform depth, a leaf's color is the binary
-    vector recording which ancestor X sets contain it; two leaves are
+    vector recording which ancestor X sets contain it, bit k - 1 - j for
+    the ancestor at depth j; two leaves are
     adjacent exactly when their pair lies inside an odd number of X sets,
     which their colors and meeting level determine.  So every class of leaf
     pairs agrees on adjacency, and the signature is the minimal one that
@@ -205,26 +203,20 @@ def sc_to_tm(t):
     """
     k = t.height
     g = evaluate_sc(t)
-    parent = []
-    leaf_vertex = {}
-    leaf_color = {}
-
-    def build(node, parent_id, x_stack):
-        parent.append(parent_id)
-        me = len(parent) - 1
+    parent, leaf_vertex, bits = [], {}, {}
+    # node ids are preorder positions: (node, parent id, depth)
+    stack = [(pad_sc(t, k), -1, 0)]
+    while stack:
+        node, up, depth = stack.pop()
+        me = len(parent)
+        parent.append(up)
         if node.is_leaf:
-            v = node.vertex
-            leaf_vertex[me] = v
-            leaf_color[me] = 1 + sum(
-                1 << i for i, x in enumerate(reversed(x_stack)) if v in x
-            )
+            leaf_vertex[me] = node.vertex
         else:
-            x_stack.append(node.x)
-            for child in node.children:
-                build(child, me, x_stack)
-            x_stack.pop()
-
-    build(pad_sc(t, k), -1, [])
+            for v in node.x:
+                bits[v] = bits.get(v, 0) | 1 << (k - 1 - depth)
+            stack.extend((c, me, depth + 1) for c in reversed(node.children))
+    leaf_color = {u: 1 + bits.get(v, 0) for u, v in leaf_vertex.items()}
     tree = RootedTree(parent)
     signature = infer_signature(tree, leaf_vertex, leaf_color, g)
     return TreeModel(tree, k, max(2**k, 1), leaf_vertex, leaf_color, signature)
@@ -250,13 +242,11 @@ _SC_SHAPES = ({"vertex": int}, {"X": (int,), "children": list})
 def sc_from_text(text):
     """Parse the JSON SCTree format; malformed input raises ValidationError."""
     parent, records = flatten_records(load_json(text, "SC-tree"), _SC_SHAPES, "SC-tree")
-    tree = RootedTree(parent)
-    nodes = [None] * tree.n
-    # preorder ids put every child after its parent, so build bottom up
-    for u in reversed(range(tree.n)):
+
+    def visit(u, children):
         record = records[u]
         if "vertex" in record:
-            nodes[u] = SCTree.leaf(record["vertex"])
-        else:
-            nodes[u] = SCTree.inner((nodes[c] for c in tree.children(u)), record["X"])
-    return nodes[0]
+            return SCTree.leaf(record["vertex"])
+        return SCTree.inner(children, record["X"])
+
+    return RootedTree(parent).fold(visit)

@@ -227,6 +227,8 @@ def tmc_membership(g, d, m, k, cap=DEFAULT_TM_CAP):
 
 def _relabel_sc(t, mapping):
     """t with each vertex v renamed mapping[v]."""
+    if all(mapping[v] == v for v in t.leaf_vertices):
+        return t
     return fold_sc(
         t,
         lambda node, _: SCTree.leaf(mapping[node.vertex]),

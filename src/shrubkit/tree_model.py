@@ -14,9 +14,9 @@ children by a canonical code, so files round-trip byte for byte.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 
 from .errors import DomainError, SignatureConflict, ValidationError
 from .graph import Graph
@@ -301,10 +301,18 @@ def canonical_code(ct, node=None):
     Two subtrees get the same code exactly when a color-preserving rooted
     isomorphism maps one onto the other.
     """
-    if node is None:
-        node = ct.tree.root
-    children = ct.tree.children(node)
-    return (ct.color[node], tuple(sorted(canonical_code(ct, c) for c in children)))
+    return ct.tree.fold(lambda u, codes: (ct.color[u], tuple(sorted(codes))), node)
+
+
+def _flat_key(head, keys):
+    """A node's sort key: its head, then its children's keys in sorted
+    order, then -1.
+
+    Every head starts with a value >= 0, so -1 ends a child list before any
+    longer list's next key, and these flat tuples compare as the nested
+    tuples (head, tuple of child keys) would, without recursion.
+    """
+    return (*head, *chain.from_iterable(keys), -1)
 
 
 def _threshold_at(thresholds, height):
@@ -335,34 +343,34 @@ def reduce_tree(ct, thresholds, modulus):
 
     tree = ct.tree
 
-    def process(u):
-        """Returns (code, height, kept node ids) for the reduced subtree at u."""
-        if tree.is_leaf(u):
-            return (ct.color[u], ()), 0, [u]
-        reduced = [process(c) for c in tree.children(u)]
+    def visit(u, reduced):
+        """(key, height, kept node ids) of the reduced subtree at u."""
+        head = (ct.color[u],)
+        if not reduced:
+            return _flat_key(head, ()), 0, [u]
         height = 1 + max(h for _, h, _ in reduced)
         limit = _threshold_at(thresholds, height)
         classes = {}
-        for child_id, (code, h, kept) in zip(tree.children(u), reduced):
-            classes.setdefault(code, []).append((child_id, h, kept))
+        for child_id, (key, h, kept) in zip(tree.children(u), reduced):
+            classes.setdefault(key, []).append((child_id, h, kept))
         kept_nodes = [u]
-        child_codes = []
+        child_keys = []
         # a zero threshold can drop a whole class, so the height ancestors
-        # see must be recomputed from the children actually kept
+        # see must be recomputed from the children actually kept; classes
+        # are taken in key order, so child_keys comes out sorted
         new_height = 0
-        for code in sorted(classes):
-            members = sorted(classes[code])
+        for key in sorted(classes):
+            members = sorted(classes[key])
             size = len(members)
             if size >= limit + modulus:
                 size = limit + (size - limit) % modulus
             for child_id, h, kept in members[:size]:
                 kept_nodes.extend(kept)
-                child_codes.append(code)
+                child_keys.append(key)
                 new_height = max(new_height, h + 1)
-        return (ct.color[u], tuple(sorted(child_codes))), new_height, kept_nodes
+        return _flat_key(head, child_keys), new_height, kept_nodes
 
-    _, _, kept = process(tree.root)
-    new_tree, kept_ids = subtree_on(tree, kept)
+    new_tree, kept_ids = subtree_on(tree, tree.fold(visit)[2])
     return ColoredTree(new_tree, tuple(ct.color[old] for old in kept_ids))
 
 
@@ -370,35 +378,35 @@ def reduce_tree(ct, thresholds, modulus):
 # serialization
 
 
-def _tree_record(model):
-    """The record tree of a model, children sorted by their keys.
+def _sorted_records(tree, node):
+    """The record tree of `tree`, each node's children sorted by their keys.
 
-    A leaf's key is (0, color, vertex) and an internal node's is 1, then its
-    sorted children's keys, then -1.  These flat keys compare as the nested
-    tuples (0, color, vertex) and (1, tuple of child keys) would, but
-    without recursion, and the records are built deepest first.
+    node(u, sorted child records) returns u's record and the head of u's
+    key, from which _flat_key builds the key.
     """
-    tree = model.tree
-    records, keys = {}, {}
-    for u in sorted(range(tree.n), key=tree.depth, reverse=True):
-        if tree.is_leaf(u):
-            color, vertex = model.leaf_color[u], model.leaf_vertex[u]
-            records[u] = {"vertex": vertex, "color": color}
-            keys[u] = (0, color, vertex)
-            continue
-        children = sorted(tree.children(u), key=keys.__getitem__)
-        records[u] = {"children": [records.pop(c) for c in children]}
-        keys[u] = (1, *chain.from_iterable(keys.pop(c) for c in children), -1)
-    return records[tree.root]
+
+    def visit(u, done):
+        done.sort(key=itemgetter(1))
+        record, head = node(u, [r for r, _ in done])
+        return record, _flat_key(head, [k for _, k in done])
+
+    return tree.fold(visit)[0]
 
 
 def model_to_text(model):
     """Canonical JSON serialization of a model."""
+
+    def node(u, children):
+        if children:
+            return {"children": children}, (1,)
+        color, vertex = model.leaf_color[u], model.leaf_vertex[u]
+        return {"vertex": vertex, "color": color}, (0, color, vertex)
+
     doc = {
         "depth": model.depth,
         "colors": model.colors,
         "signature": sorted([i, j, lvl] for i, j, lvl in model.signature),
-        "tree": _tree_record(model),
+        "tree": _sorted_records(model.tree, node),
     }
     return dump_json(doc) + "\n"
 
@@ -427,19 +435,14 @@ def model_from_text(text):
     )
 
 
-def _colored_record(ct, u):
-    children = [_colored_record(ct, c) for c in ct.tree.children(u)]
-    children.sort(key=_colored_key)
-    return {"color": ct.color[u], "children": children}
-
-
-def _colored_key(record):
-    return (record["color"], tuple(_colored_key(c) for c in record["children"]))
-
-
 def colored_tree_to_text(ct):
     """Canonical JSON serialization of a colored rooted tree."""
-    return json.dumps(_colored_record(ct, ct.tree.root), indent=2, sort_keys=True) + "\n"
+
+    def node(u, children):
+        color = ct.color[u]
+        return {"color": color, "children": children}, (color,)
+
+    return dump_json(_sorted_records(ct.tree, node)) + "\n"
 
 
 _COLORED_SHAPES = ({"color": int, "children": list}, {"color": int})

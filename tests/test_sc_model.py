@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from shrubkit import (
+    ColoredTree,
     DomainError,
     Graph,
     SCTree,
@@ -13,14 +14,20 @@ from shrubkit import (
     evaluate_sc,
     RootedTree,
     TreeModel,
+    canonical_code,
+    colored_tree_to_text,
+    eval_lincw,
     make_clique,
     model_to_text,
     pad_sc,
     realize,
+    reduce_tree,
     sc_from_text,
     sc_to_text,
     sc_to_tm,
+    tm_to_lincw,
     tm_to_sc,
+    verify,
 )
 
 from .helpers import random_sc_tree, random_seeded, random_tree_model
@@ -187,16 +194,22 @@ def _reference_text(doc):
         sys.setrecursionlimit(limit)
 
 
+def _chain_model(n):
+    """One-color model of K2, n levels deep: a path of n - 1 nodes above a
+    node with two leaves, joined at level 1."""
+    parent = [-1, *range(n - 1), n - 1, n - 1]
+    return TreeModel(RootedTree(parent), n, 1, {n: 0, n + 1: 1},
+                     {n: 1, n + 1: 1}, {(1, 1, 1)})
+
+
 class TestDeepTrees:
-    """Evaluation, padding, conversion and both writers run on explicit
-    stacks, so a tree 1,000 levels deep fits."""
+    """Evaluation, padding, every conversion, the tree folds and the writers
+    run on explicit stacks, so a tree 1,000 levels deep fits."""
 
     def test_one_color_chain_model_and_its_sc_image(self):
         n = 1000
-        # a path of n - 1 nodes above a node with two leaves, joined at level 1
-        parent = [-1, *range(n - 1), n - 1, n - 1]
-        m = TreeModel(RootedTree(parent), n, 1, {n: 0, n + 1: 1},
-                      {n: 1, n + 1: 1}, {(1, 1, 1)})
+        m = _chain_model(n)
+        assert eval_lincw(tm_to_lincw(m)) == realize(m)
         record = {"children": [{"color": 1, "vertex": 0}, {"color": 1, "vertex": 1}]}
         for _ in range(n - 1):
             record = {"children": [record]}
@@ -209,5 +222,33 @@ class TestDeepTrees:
         for _ in range(n - 1):
             record = {"X": [], "children": [record]}
         assert sc_to_text(t) == _reference_text(record)
+        assert verify(sc_to_tm(t), make_clique(2))
         padded = pad_sc(t, n + 10)
         assert padded.height == n + 10 and evaluate_sc(padded) == make_clique(2)
+
+    def test_one_color_chain_colored_tree(self):
+        n = 1000
+        chain = ColoredTree(RootedTree([-1, *range(n - 1)]), [1] * n)
+        record = {"color": 1, "children": []}
+        for _ in range(n - 1):
+            record = {"color": 1, "children": [record]}
+        assert colored_tree_to_text(chain) == _reference_text(record)
+        code = canonical_code(chain)
+        for _ in range(n - 1):
+            assert code[0] == 1 and len(code[1]) == 1
+            code = code[1][0]
+        assert code == (1, ())
+        assert reduce_tree(chain, [1], 2) == chain
+        # three equal chains under one root: threshold 1 and modulus 2 keep
+        # 1 + (3 - 1) % 2 = 1, the chain with the least node ids
+        parent = [-1]
+        for _ in range(3):
+            parent += [0, *range(len(parent), len(parent) + n - 1)]
+        ct = ColoredTree(RootedTree(parent), [1] * len(parent))
+        assert reduce_tree(ct, [1], 2) == ColoredTree(
+            RootedTree([-1, *range(n)]), [1] * (n + 1))
+
+    def test_sc_text_round_trip(self):
+        # 400 levels, under the nesting limit of the JSON reader
+        text = sc_to_text(tm_to_sc(_chain_model(400)))
+        assert sc_to_text(sc_from_text(text)) == text

@@ -1,5 +1,6 @@
 """Tree-models, k-copied models, colored trees and the sibling reduction."""
 
+import hashlib
 import json
 
 import pytest
@@ -21,16 +22,27 @@ from shrubkit import (
     colored_tree_to_text,
     complement_model,
     complement_on_subset,
+    enumerate_graphs,
     grow_leaf,
     induced_subgraph,
     infer_signature,
     lift_depth,
+    lincw_to_text,
     model_from_text,
     model_to_text,
+    path_model,
     realize,
     reduce_tree,
     restrict,
+    sc_from_text,
+    sc_to_text,
+    sc_to_tm,
     subtree_on,
+    td_to_tm,
+    tm_membership,
+    tm_to_lincw,
+    tm_to_sc,
+    tree_depth,
     verify,
     verify_k_copied,
 )
@@ -93,6 +105,20 @@ class TestRootedTree:
             (3, 4, 1), (3, 5, 0), (3, 6, 1), (4, 5, 0), (4, 6, 1), (5, 6, 0)
         ]
         assert list(RootedTree([-1]).leaf_pairs()) == []
+
+    def test_fold_visits_children_first_in_child_order(self):
+        t = RootedTree([-1, 0, 0, 1, 1])
+        seen = []
+
+        def visit(u, values):
+            assert all(c in seen for c in t.children(u))
+            seen.append(u)
+            return u, values
+
+        assert t.fold(visit) == (0, [(1, [(3, []), (4, [])]), (2, [])])
+        assert sorted(seen) == [0, 1, 2, 3, 4]
+        assert t.fold(visit, 1) == (1, [(3, []), (4, [])])
+        assert t.fold(visit, 4) == (4, [])
 
     def test_extend_path(self):
         t = RootedTree([-1])
@@ -294,6 +320,23 @@ class TestModelSerialization:
 
 
 class TestColoredTrees:
+    def test_matches_the_recursive_writer(self):
+        # children sorted by nested keys and written by the standard library,
+        # as the writer did before it ran on RootedTree.fold
+        def record(ct, u):
+            children = [record(ct, c) for c in ct.tree.children(u)]
+            children.sort(key=key)
+            return {"color": ct.color[u], "children": children}
+
+        def key(r):
+            return (r["color"], tuple(key(c) for c in r["children"]))
+
+        rng = random_seeded(29)
+        for _ in range(300):
+            ct = random_colored_tree(rng, max_height=4)
+            want = json.dumps(record(ct, ct.tree.root), indent=2, sort_keys=True)
+            assert colored_tree_to_text(ct) == want + "\n"
+
     def test_validation(self):
         t = RootedTree([-1, 0])
         ColoredTree(t, [1, 2])
@@ -415,3 +458,51 @@ JSON_DOCS = st.recursive(
 @given(JSON_DOCS)
 def test_dump_json_matches_the_standard_writer(doc):
     assert dump_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+# SHA-256 over _tree_layer_outputs, taken while the tree walks below still
+# recursed or sorted nodes by depth
+TREE_LAYER_DIGEST = "65f2183a1c2d322919ae536cbeb46d331b1a18b9cfc7fd1a401af1e8700f0a32"
+
+
+def _tree_layer_outputs():
+    """Text of every tree-layer output on seeded colored trees and on 168
+    models: path_model(1..4), then for every graph on 1-5 vertices its
+    td_to_tm model and its tm witnesses at d, m in 1-2."""
+    rng = random_seeded(33)
+    for _ in range(3000):
+        ct = random_colored_tree(rng)
+        yield colored_tree_to_text(ct)
+        yield repr(canonical_code(ct))
+        for thresholds in ([1], [2], [0, 1], [1, 2, 4]):
+            for modulus in (1, 2, 3):
+                red = reduce_tree(ct, thresholds, modulus)
+                yield repr((red.tree.parent, red.color))
+    models = [path_model(k) for k in range(1, 5)]
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            models.append(td_to_tm(g, tree_depth(g)[1]))
+            for d in (1, 2):
+                for m in (1, 2):
+                    w = tm_membership(g, d, m)
+                    if w is not None:
+                        models.append(w)
+    assert len(models) == 168
+    for m in models:
+        yield model_to_text(m)
+        yield lincw_to_text(tm_to_lincw(m))
+        t = tm_to_sc(m)
+        text = sc_to_text(t)
+        assert sc_to_text(sc_from_text(text)) == text
+        yield text
+        back = sc_to_tm(t)
+        yield repr((back.tree.parent, back.depth, back.colors,
+                    sorted(back.leaf_vertex.items()), sorted(back.leaf_color.items()),
+                    sorted(back.signature)))
+
+
+def test_tree_layer_outputs_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for text in _tree_layer_outputs():
+        digest.update(text.encode())
+    assert digest.hexdigest() == TREE_LAYER_DIGEST
