@@ -299,9 +299,18 @@ def canonical_code(ct, node=None):
     """Canonical color-isomorphism code of the subtree rooted at `node`.
 
     Two subtrees get the same code exactly when a color-preserving rooted
-    isomorphism maps one onto the other.
+    isomorphism maps one onto the other.  The code is (color, sorted child
+    codes); siblings are sorted by their flat keys, which order them as the
+    codes would, so deep equal siblings are never compared recursively.
     """
-    return ct.tree.fold(lambda u, codes: (ct.color[u], tuple(sorted(codes))), node)
+
+    def visit(u, done):
+        done.sort(key=itemgetter(1))
+        head = (ct.color[u],)
+        return ((*head, tuple(c for c, _ in done)),
+                _flat_key(head, [k for _, k in done]))
+
+    return ct.tree.fold(visit, node)[0]
 
 
 def _flat_key(head, keys):

@@ -291,8 +291,11 @@ def exhaustive_sc_membership(g, depth):
 def reference_evaluate(structure, formula, fo=None, sets=None):
     """Direct-recursion evaluator over explicit frozensets.
 
-    Subsets are listed in the evaluator's order, the binary count in which
-    vertex 0 toggles fastest, so that both short-circuit at the same point.
+    Subsets are listed in the binary count in which vertex 0 toggles
+    fastest.  For a formula without set quantifiers the evaluator
+    short-circuits at the same point, so both test the same edges; set
+    quantifiers it decides by a search that visits sets in another order
+    and cuts branches.
     """
     if isinstance(structure, Graph):
         g, rels = structure, {}

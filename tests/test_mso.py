@@ -105,6 +105,31 @@ CORPUS = [
     "all1 x. ex1 y. (!(x = y) & !edge(x, y)) -> ex2 X. mod(1, 2, X)",
 ]
 
+# runs of two and three like set quantifiers over whole-graph bodies
+BLOCK_SENTENCES = {
+    "colourable_2": (
+        "ex2 A. ex2 B. (all1 x. (x in A | x in B)) & all1 x. all1 y. "
+        "(edge(x, y) -> !((x in A & y in A) | (x in B & y in B)))"
+    ),
+    "colourable_3": (
+        "ex2 A. ex2 B. ex2 C. (all1 x. (x in A | x in B | x in C)) & "
+        "all1 x. all1 y. (edge(x, y) -> !((x in A & y in A) | (x in B & y in B) "
+        "| (x in C & y in C)))"
+    ),
+    "pairs_touch": (
+        "all2 X. all2 Y. (all1 x. !(x in X & x in Y) -> ((ex1 x. x in X) -> "
+        "ex1 x. ex1 y. ((x in X | x in Y) & edge(x, y))))"
+    ),
+    "connected": (
+        "all2 X. ((ex1 x. x in X) & (ex1 x. !(x in X))) -> "
+        "ex1 x. ex1 y. (x in X & !(y in X) & edge(x, y))"
+    ),
+    "odd_kernel": (
+        "ex2 K. mod(1, 2, K) & (all1 x. all1 y. ((x in K & y in K) -> !edge(x, y))) "
+        "& all1 x. (!(x in K) -> ex1 y. (y in K & edge(x, y)))"
+    ),
+}
+
 
 FO_NAMES = ("x", "y", "z")
 SET_NAMES = ("X", "Y")
@@ -566,8 +591,41 @@ class TestEvaluate:
         want = reference_evaluate(s, phi, fo, sets)
         assert evaluate(s, phi, {**fo, **sets}) == want
 
-    def test_edge_tests_match_the_reference(self, monkeypatch):
-        # both short-circuit in the same order, so they test the same pairs
+    def test_agrees_with_reference_on_every_graph_up_to_5_vertices(self):
+        phis = [parse_formula(t) for t in [*CORPUS, *BLOCK_SENTENCES.values()]]
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                for phi in phis:
+                    assert evaluate(g, phi) == reference_evaluate(g, phi), (
+                        g, format_formula(phi))
+
+    def test_blocks_under_shadowing(self):
+        texts = [
+            # the inner X of a run shadows the outer one
+            "ex2 X. ex2 X. (mod(1, 2, X) & all1 x. (x in X <-> ex1 y. edge(x, y)))",
+            "ex2 X. ex2 Y. ex2 X. (all1 x. (x in X | x in Y) & mod(1, 2, X)"
+            " & all1 x. all1 y. (edge(x, y) -> (!(x in X & y in X) & !(x in Y & y in Y))))",
+            "all2 X. all2 X. (mod(0, 2, X) | ex1 x. (x in X & ex1 y. edge(x, y)))",
+            # a block variable shadows the assigned X, which is read outside
+            "x in X & ex2 X. (mod(0, 2, X) & !(x in X) & all1 y. (edge(x, y) -> y in X))",
+            "all2 X. (x in X -> ex1 y. (y in X & edge(x, y))) | y in X",
+            "all2 X. all2 Y. (x in Y -> (x in X | mod(1, 2, Y)))",
+        ]
+        for text in texts:
+            phi = parse_formula(text)
+            for n in range(1, 5):
+                for g in enumerate_graphs(n):
+                    for x, y in itertools.product((0, n - 1), repeat=2):
+                        for mask in (1, (1 << n) - 2):
+                            big = frozenset(v for v in range(n) if mask >> v & 1)
+                            sets = {"X": big, "Y": frozenset(range(n)) - big}
+                            want = reference_evaluate(g, phi, {"x": x, "y": y}, sets)
+                            got = evaluate(g, phi, {"x": x, "y": y, **sets})
+                            assert got == want, (g, text, x, y, mask)
+
+    @pytest.fixture
+    def edge_tests(self, monkeypatch):
+        """Counts the calls of Graph.has_edge from now on."""
         count = [0]
         has_edge = Graph.has_edge
 
@@ -576,19 +634,60 @@ class TestEvaluate:
             return has_edge(g, u, v)
 
         monkeypatch.setattr(Graph, "has_edge", counted)
-        phis = [parse_formula(t) for t in CORPUS]
+        return count
+
+    def test_edge_tests_match_the_reference(self, edge_tests):
+        # a sentence without set quantifiers is run exactly, short-circuiting
+        # in the reference's order, so both test the same pairs
+        graphs = [g for n in range(1, 5) for g in enumerate_graphs(n)]
+        phis = [phi for phi in map(parse_formula, CORPUS)
+                if not set_quantifier_rank(phi)]
+        assert len(phis) == 11
         total = 0
-        for n in range(1, 5):
-            for g in enumerate_graphs(n):
-                for phi in phis:
-                    count[0] = 0
-                    evaluate(g, phi)
-                    got = count[0]
-                    count[0] = 0
-                    reference_evaluate(g, phi)
-                    assert got == count[0], (g, format_formula(phi))
-                    total += got
+        for g in graphs:
+            for phi in phis:
+                edge_tests[0] = 0
+                evaluate(g, phi)
+                got = edge_tests[0]
+                edge_tests[0] = 0
+                reference_evaluate(g, phi)
+                assert got == edge_tests[0], (g, format_formula(phi))
+                total += got
         assert total > 0
+
+    def test_edge_tests_of_the_block_search_are_pinned(self, edge_tests):
+        # set quantifiers are decided vertex by vertex with cuts, so the
+        # pairs tested differ from the reference's 2^n loop; per sentence,
+        # the count summed over every graph on 1-4 vertices
+        graphs = [g for n in range(1, 5) for g in enumerate_graphs(n)]
+        texts = {i: t for i, t in enumerate(CORPUS)
+                 if set_quantifier_rank(parse_formula(t))}
+        texts.update(BLOCK_SENTENCES)
+        got = {}
+        for key, text in texts.items():
+            phi = parse_formula(text)
+            edge_tests[0] = 0
+            for g in graphs:
+                evaluate(g, phi)
+            got[key] = edge_tests[0]
+        assert got == {
+            8: 0, 9: 0, 10: 51, 11: 0, 12: 0, 13: 1199, 16: 0, 17: 0, 19: 43,
+            "colourable_2": 2360, "colourable_3": 2016, "pairs_touch": 1096,
+            "connected": 238, "odd_kernel": 460,
+        }
+
+    def test_colourable_3_on_k4_plus_a_tail(self, edge_tests):
+        phi = parse_formula(BLOCK_SENTENCES["colourable_3"])
+        k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        # K4 on 0-3 and a path 3-4-...-11: cut at vertex 3 of every branch
+        g = Graph(12, [*k4, *((v, v + 1) for v in range(3, 11))])
+        assert not evaluate(g, phi)
+        assert edge_tests[0] == 4652
+        # a path 0-1-...-6 and K4 on 6-9: every colouring of the path is tried
+        edge_tests[0] = 0
+        g = Graph(10, [*((v, v + 1) for v in range(6)), *((a + 6, b + 6) for a, b in k4)])
+        assert not evaluate(g, phi)
+        assert edge_tests[0] == 2936046
 
     def test_missing_relation_raises_only_when_reached(self):
         s = RelStructure(make_path(2), {"near": [(0, 1)]})
@@ -598,6 +697,20 @@ class TestEvaluate:
             evaluate(s, parse_formula("ex1 x. rel_far(x, x)"))
         with pytest.raises(DomainError, match="no relation 'far'"):
             evaluate(s, parse_formula("ex1 x. (rel_near(x, x) | rel_far(x, x))"))
+
+    def test_missing_relation_in_a_block_raises_at_a_reached_leaf(self):
+        # under a set quantifier the search decides which leaves run, and a
+        # loop over all 2^n sets in counting order would decide both the
+        # other way: it raises on the first and returns true on the second
+        s = RelStructure(make_path(2), {"near": [(0, 1)]})
+        # every branch is cut at vertex 0, so no leaf runs
+        phi = parse_formula("ex2 X. (rel_far(x, x) & false)")
+        assert not evaluate(s, phi, {"x": 0})
+        # the leaf X = {1}, which reaches the missing relation, runs before
+        # X = {0}, which would satisfy the body
+        phi = parse_formula("ex2 X. (x in X | (y in X & rel_far(x, x)))")
+        with pytest.raises(DomainError, match="no relation 'far'"):
+            evaluate(s, phi, {"x": 0, "y": 1})
 
     def test_unknown_node_raises_only_when_reached(self):
         g = make_path(2)

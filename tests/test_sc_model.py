@@ -248,6 +248,26 @@ class TestDeepTrees:
         assert reduce_tree(ct, [1], 2) == ColoredTree(
             RootedTree([-1, *range(n)]), [1] * (n + 1))
 
+    def test_canonical_code_of_two_deep_chains(self):
+        n = 1000
+        # a root over two chains of n nodes of color 1, equal at first;
+        # then the bottom node of the first chain gets color 2
+        parent = [-1, 0, *range(1, n), 0, *range(n + 1, 2 * n)]
+        for first_bottom in (1, 2):
+            color = [1] * (2 * n + 1)
+            color[n] = first_bottom
+            code = canonical_code(ColoredTree(RootedTree(parent), color))
+            assert code[0] == 1 and len(code[1]) == 2
+            # either way the chain with the smaller bottom color comes first
+            bottoms = []
+            for chain in code[1]:
+                for _ in range(n - 1):
+                    assert chain[0] == 1 and len(chain[1]) == 1
+                    chain = chain[1][0]
+                bottoms.append(chain[0])
+                assert chain[1] == ()
+            assert bottoms == [1, first_bottom]
+
     def test_sc_text_round_trip(self):
         # 400 levels, under the nesting limit of the JSON reader
         text = sc_to_text(tm_to_sc(_chain_model(400)))
