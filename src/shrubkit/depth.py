@@ -6,17 +6,18 @@ order, with parent -1 for roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .errors import DomainError, ResourceLimitError, ValidationError
-from .graph import Graph
+from .graph import Graph, adjacency_rows, mask_components
 from .rooted_tree import RootedTree
 from .tree_model import TreeModel, grow_leaf
+from .values import value_class
 
 DEFAULT_TD_CAP = 16
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class EliminationForest:
     """An immutable rooted forest on vertices 0..n-1 (parent -1 at roots).
 
@@ -99,27 +100,7 @@ def tree_depth(g, cap=DEFAULT_TD_CAP):
     n = g.n
     if n > cap:
         raise ResourceLimitError(f"tree_depth cap is {cap} vertices, got {n}")
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-
-    def split(mask):
-        comps = []
-        rest = mask
-        while rest:
-            seed = rest & -rest
-            comp = seed
-            frontier = seed
-            while frontier:
-                v = frontier.bit_length() - 1
-                frontier &= ~(1 << v)
-                grow = adj[v] & mask & ~comp
-                comp |= grow
-                frontier |= grow
-            comps.append(comp)
-            rest &= ~comp
-        return comps
+    adj = adjacency_rows(g)
 
     def members(mask):
         return [v for v in range(n) if mask >> v & 1]
@@ -141,7 +122,7 @@ def tree_depth(g, cap=DEFAULT_TD_CAP):
             return True
         if lower.get(mask, 1) > k:
             return False
-        comps = comps or split(mask)
+        comps = comps or mask_components(adj, mask)
         ok = False
         if len(comps) > 1:
             for c in comps:
@@ -172,7 +153,7 @@ def tree_depth(g, cap=DEFAULT_TD_CAP):
     parent = [-1] * n
 
     def build(mask, above):
-        for comp in split(mask):
+        for comp in mask_components(adj, mask):
             target = td(comp)
             for v in members(comp):
                 if at_most(comp & ~(1 << v), target - 1):

@@ -10,15 +10,16 @@ anything for the vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from itertools import combinations
 
 from .errors import DomainError, ValidationError
+from .values import value_class
 
 MAX_TEXT_VERTICES = 100_000
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Graph:
     """An immutable simple graph.
 
@@ -123,6 +124,36 @@ def relabel_graph(g, perm):
     edges = [(perm[u], perm[v]) for u, v in g.edges]
     labels = {perm[v]: names for v, names in g.labels.items()}
     return Graph(g.n, edges, labels)
+
+
+def adjacency_rows(g):
+    """Adjacency as one int per vertex: bit v of rows[u] is set iff uv is an
+    edge."""
+    rows = [0] * g.n
+    for u, v in g.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+def mask_components(rows, mask):
+    """Components of the vertex set `mask` in the graph whose adjacency rows
+    are `rows`, as masks ordered by least vertex."""
+    comps = []
+    rest = mask
+    while rest:
+        seed = rest & -rest
+        comp = seed
+        frontier = seed
+        while frontier:
+            v = frontier.bit_length() - 1
+            frontier &= ~(1 << v)
+            grow = rows[v] & mask & ~comp
+            comp |= grow
+            frontier |= grow
+        comps.append(comp)
+        rest &= ~comp
+    return comps
 
 
 def components(g):

@@ -7,14 +7,15 @@ with label i, `E i j` joins every i-labeled vertex to every j-labeled one,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from operator import itemgetter
 
 from .errors import ValidationError
 from .graph import Graph
+from .values import value_class
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class LinCwExpression:
     """An immutable operation sequence over positive integer labels."""
 

@@ -34,10 +34,9 @@ the reverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import DomainError, ResourceLimitError, ValidationError
 from ..graph import Graph
+from ..values import value_class
 from .formulas import (
     AllSet,
     AllVertex,
@@ -64,7 +63,7 @@ DEFAULT_VERTEX_CAP = 12
 DEFAULT_SET_QUANTIFIER_CAP = 3
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class RelStructure:
     """A graph together with named symmetric binary relations."""
 
@@ -100,7 +99,7 @@ def _as_structure(structure):
     raise DomainError(f"cannot evaluate over {type(structure).__name__}")
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class CompiledFormula:
     """A formula compiled by `compile_formula` for one structure and one
     tuple of assigned variable names; `evaluate` runs it, as `re.match`

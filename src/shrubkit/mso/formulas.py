@@ -12,10 +12,11 @@ parses back.  Connective precedence from loosest to tightest is
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from math import lcm
 
 from ..errors import ValidationError
+from ..values import value_class
 
 MAX_NESTING = 100
 
@@ -54,7 +55,7 @@ def _check_name(value, what):
         )
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Formula:
     """A formula node.  Each node kind names its first-order variable fields
     in _FO, its set variable fields in _SETS and its subformula fields in
@@ -87,31 +88,31 @@ class Formula:
         object.__setattr__(self, "height", height)
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class TrueConst(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class FalseConst(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Edge(Formula):
     x: str
     y: str
     _FO = ("x", "y")
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Eq(Formula):
     x: str
     y: str
     _FO = ("x", "y")
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class InSet(Formula):
     x: str
     var: str
@@ -121,7 +122,7 @@ class InSet(Formula):
 
 # zero-argument super() fails in a slotted dataclass on CPython 3.11, hence
 # the explicit Formula.__post_init__(self) below
-@dataclass(frozen=True, slots=True)
+@value_class
 class ModCount(Formula):
     """|X| is congruent to a modulo b."""
 
@@ -141,7 +142,7 @@ class ModCount(Formula):
             )
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class HasLabel(Formula):
     label: str
     x: str
@@ -152,7 +153,7 @@ class HasLabel(Formula):
         Formula.__post_init__(self)
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class RelAtom(Formula):
     rel: str
     x: str
@@ -164,41 +165,41 @@ class RelAtom(Formula):
         Formula.__post_init__(self)
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Not(Formula):
     body: Formula
     _PARTS = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class And(Formula):
     left: Formula
     right: Formula
     _PARTS = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Or(Formula):
     left: Formula
     right: Formula
     _PARTS = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Implies(Formula):
     left: Formula
     right: Formula
     _PARTS = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Iff(Formula):
     left: Formula
     right: Formula
     _PARTS = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class ExistsVertex(Formula):
     var: str
     body: Formula
@@ -206,7 +207,7 @@ class ExistsVertex(Formula):
     _PARTS = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class AllVertex(Formula):
     var: str
     body: Formula
@@ -214,7 +215,7 @@ class AllVertex(Formula):
     _PARTS = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class ExistsSet(Formula):
     var: str
     body: Formula
@@ -222,7 +223,7 @@ class ExistsSet(Formula):
     _PARTS = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class AllSet(Formula):
     var: str
     body: Formula

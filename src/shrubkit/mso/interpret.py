@@ -8,10 +8,9 @@ source and image agree on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import DomainError, ValidationError
 from ..graph import Graph
+from ..values import value_class
 from .formulas import (
     AllSet,
     AllVertex,
@@ -44,7 +43,7 @@ def _pick_vars(frees, wanted, what):
     return tuple((frees + defaults)[:wanted])
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Interpretation:
     """domain_formula names who survives, edge_formula who gets joined.
 

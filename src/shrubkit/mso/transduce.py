@@ -8,11 +8,11 @@ precondition) return None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from ..errors import DomainError, ResourceLimitError, ValidationError
 from ..graph import Graph
+from ..values import value_class
 from .evaluate import RelStructure, evaluate
 from .formulas import Formula, TrueConst, free_vars
 from .interpret import Interpretation, apply_interpretation
@@ -45,7 +45,7 @@ def k_copy(g, k):
     return RelStructure(Graph(k * n, edges, labels), {"sim": sim})
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Transduction:
     """interpretation, precondition sentence, copy count, guessed labels."""
 

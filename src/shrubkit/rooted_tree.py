@@ -9,12 +9,13 @@ as JSON ints.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .errors import DomainError, ValidationError
+from .values import value_class
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class RootedTree:
     """An immutable rooted tree.  parent[v] is v's parent, -1 marks the root."""
 

@@ -11,15 +11,16 @@ The file format is JSON: {"vertex": v} at leaves, {"X": [...], "children":
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .errors import DomainError, ValidationError
 from .graph import Graph, flip_inside
 from .rooted_tree import RootedTree, dump_json, flatten_records, load_json
 from .tree_model import TreeModel, infer_signature
+from .values import value_class
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class SCTree:
     """An immutable subset-complementation tree node.
 

@@ -1,5 +1,11 @@
 """Exact membership tests for bounded-depth model classes, at desk scale.
 
+Whether a tree-model exists is decided colour-first by `_decide`: for a
+fixed coloring and per-level signature every partition is forced, so it
+searches colorings and signatures, not Bell-many chains.  A NO ends there,
+and so does every verdict `minimal_obstructions` needs.  Only a YES walks
+the chains, to find its witness.
+
 Tree shapes of a fixed depth are chains of nested partitions of the vertex
 set, one partition per internal level.  The tree-model solvers walk these
 chains depth first, one block partition at a time, over a single meet-level
@@ -17,7 +23,16 @@ of every leaf pair and so also checks the witness against the graph.
 from __future__ import annotations
 
 from .errors import DomainError, ResourceLimitError
-from .graph import Graph, canonical_form, complement_on_subset, components, induced_subgraph, relabel_graph
+from .graph import (
+    Graph,
+    adjacency_rows,
+    canonical_form,
+    complement_on_subset,
+    components,
+    induced_subgraph,
+    mask_components,
+    relabel_graph,
+)
 from .rooted_tree import RootedTree
 from .sc_model import SCTree, fold_sc
 from .tree_model import CopiedTreeModel, TreeModel, infer_signature
@@ -193,47 +208,24 @@ def _first_hit(g, m, depth, levels, last_max_block):
     return None if found is None else (chain, found)
 
 
-def tm_membership(g, d, m, cap=DEFAULT_TM_CAP):
-    """Least-shape witness model of depth d with m colors, or None.
-
-    The first chain (in nested-partition enumeration order) admitting a
-    coloring wins; pruning never skips a chain that admits one, so the
-    witness is the one the unpruned enumeration would find.
-    """
-    if d < 0 or m < 1:
-        raise DomainError("need d >= 0 and m >= 1")
-    _admit(g, cap, "membership")
-    if d == 0:
-        if g.n != 1:
-            return None
-        return TreeModel(RootedTree([-1]), 0, m, {0: 0}, {0: 1}, set())
-    hit = _first_hit(g, m, d, d - 1, None)
-    return None if hit is None else _build_witness(g, d, m, *hit)
-
-
-def tmc_membership(g, d, m, k, cap=DEFAULT_TM_CAP):
-    """Witness for the k-copied class: depth d+1 models, m colors, at most
-    k leaves per depth-d node.  Returns a CopiedTreeModel or None."""
-    if d < 0 or m < 1 or k < 1:
-        raise DomainError("need d >= 0, m >= 1, k >= 1")
-    _admit(g, cap, "membership")
-    if d == 0 and g.n > k:
-        return None
-    hit = _first_hit(g, m, d + 1, d, k)
-    if hit is None:
-        return None
-    return CopiedTreeModel(_build_witness(g, d + 1, m, *hit), d, m, k)
-
-
-def _relabel_sc(t, mapping):
-    """t with each vertex v renamed mapping[v]."""
-    if all(mapping[v] == v for v in t.leaf_vertices):
-        return t
-    return fold_sc(
-        t,
-        lambda node, _: SCTree.leaf(mapping[node.vertex]),
-        lambda node, _, children: SCTree.inner(children, [mapping[v] for v in node.x]),
-    )
+def _colorings(n, m):
+    """First-occurrence-canonical colorings of n >= 1 vertices with colors
+    0..m-1: each vertex takes a color used before it or the least unused
+    one.  One list is yielded, changed in place between yields."""
+    colors = [0] * n
+    top = [0] * n  # top[i] = max(colors[:i + 1])
+    while True:
+        yield colors
+        i = n - 1
+        while i > 0 and colors[i] == min(top[i - 1] + 1, m - 1):
+            i -= 1
+        if i == 0:
+            return
+        colors[i] += 1
+        top[i] = max(top[i - 1], colors[i])
+        for j in range(i + 1, n):
+            colors[j] = 0
+            top[j] = top[i]
 
 
 def _drive(gen):
@@ -251,6 +243,146 @@ def _drive(gen):
             stack.append(sub)
             value = None
     return value
+
+
+def _decide(g, depth, m, max_block=None):
+    """Whether g has a model of this depth with m colors, and with
+    max_block, at most max_block leaves below each node of the level above
+    the leaves.
+
+    Fix a coloring and, for the pairs meeting at one level, that level's
+    signature f.  Pairs of a block that f gets wrong must share a block one
+    level down, so the finest admissible partition of the level below is the
+    components of these conflicts inside each block.  It dominates every
+    coarser one, because a model restricts to a finer block.  Only a color
+    pair that meets both as an edge and as a non-edge needs a choice of f;
+    for any other pair f agrees with the graph and adds no conflict.  At the
+    leaf level f is read off, so the blocks must hold no such mixed pair.
+    A level that splits nothing can be dropped, so only strictly finer
+    partitions are tried, at most n - 1 levels deep, and a partition that
+    fails at one level fails at every deeper one.  Depth 1 has no partition
+    level and is the pruned coloring search alone.
+    """
+    n = g.n
+    if depth == 1:
+        if max_block is not None and n > max_block:
+            return False
+        return _search_coloring(g, m, 1, [[0] * n] * n) is not None
+    rows = adjacency_rows(g)
+    levels = depth - 1
+    limit = n if max_block is None else max_block
+    # one bit per unordered color pair
+    pair_bit = [[1 << min(a, b) * m + max(a, b) for b in range(m)] for a in range(m)]
+
+    for colors in _colorings(n, m):
+        used = max(colors) + 1
+        cls = [0] * used
+        for u, c in enumerate(colors):
+            cls[c] |= 1 << u
+        failed = {}  # partition -> least level at which it failed
+
+        def spread(pairs):
+            """Per color a, the vertices of the colors b with (a, b) in pairs."""
+            out = [0] * used
+            for a in range(used):
+                for b in range(used):
+                    if pairs & pair_bit[a][b]:
+                        out[a] |= cls[b]
+            return out
+
+        def feasible(level, blocks):
+            edge = non = 0  # color pairs meeting as an edge, as a non-edge
+            for block in blocks:
+                rest = block if block & (block - 1) else 0  # a singleton holds no pair
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    u = low.bit_length() - 1
+                    a = colors[u]
+                    near = rows[u] & block
+                    far = block & ~rows[u] & ~low
+                    for b in range(a, used):
+                        if near & cls[b]:
+                            edge |= pair_bit[a][b]
+                        if far & cls[b]:
+                            non |= pair_bit[a][b]
+            mixed = edge & non
+            if not mixed and all(b.bit_count() <= limit for b in blocks):
+                return True
+            if level == levels:
+                return False
+            # u's conflict row is (rows[u] ^ ones[a]) & mix[a] for a = colors[u]:
+            # mix[a] covers the colors b with (a, b) mixed, ones[a] those among
+            # them whose f is an edge; u's own bit may be set, which the
+            # components ignore
+            mix = spread(mixed)
+            choice = mixed
+            while True:
+                ones = spread(choice)
+                conflict = [(r ^ ones[c]) & mix[c] for r, c in zip(rows, colors)]
+                finer = [part for block in blocks
+                         for part in mask_components(conflict, block)]
+                if len(finer) > len(blocks):
+                    key = tuple(sorted(finer))
+                    if failed.get(key, levels + 1) > level + 1:
+                        if (yield feasible(level + 1, finer)):
+                            return True
+                        failed[key] = level + 1
+                if not choice:
+                    return False
+                choice = (choice - 1) & mixed
+
+        if _drive(feasible(0, [(1 << n) - 1])):
+            return True
+    return False
+
+
+def tm_membership(g, d, m, cap=DEFAULT_TM_CAP):
+    """Least-shape witness model of depth d with m colors, or None.
+
+    `_decide` answers first, so a NO never walks the chains.  For a YES the
+    first chain (in nested-partition enumeration order) admitting a coloring
+    wins; pruning never skips a chain that admits one, so the witness is the
+    one the unpruned enumeration would find.
+    """
+    if d < 0 or m < 1:
+        raise DomainError("need d >= 0 and m >= 1")
+    _admit(g, cap, "membership")
+    if d == 0:
+        if g.n != 1:
+            return None
+        return TreeModel(RootedTree([-1]), 0, m, {0: 0}, {0: 1}, set())
+    if d > 1 and not _decide(g, d, m):
+        return None
+    hit = _first_hit(g, m, d, d - 1, None)
+    return None if hit is None else _build_witness(g, d, m, *hit)
+
+
+def tmc_membership(g, d, m, k, cap=DEFAULT_TM_CAP):
+    """Witness for the k-copied class: depth d+1 models, m colors, at most
+    k leaves per depth-d node.  Returns a CopiedTreeModel or None."""
+    if d < 0 or m < 1 or k < 1:
+        raise DomainError("need d >= 0, m >= 1, k >= 1")
+    _admit(g, cap, "membership")
+    if d == 0 and g.n > k:
+        return None
+    if d > 0 and not _decide(g, d + 1, m, k):
+        return None
+    hit = _first_hit(g, m, d + 1, d, k)
+    if hit is None:
+        return None
+    return CopiedTreeModel(_build_witness(g, d + 1, m, *hit), d, m, k)
+
+
+def _relabel_sc(t, mapping):
+    """t with each vertex v renamed mapping[v]."""
+    if all(mapping[v] == v for v in t.leaf_vertices):
+        return t
+    return fold_sc(
+        t,
+        lambda node, _: SCTree.leaf(mapping[node.vertex]),
+        lambda node, _, children: SCTree.inner(children, [mapping[v] for v in node.x]),
+    )
 
 
 def _clique_vertices(g):
@@ -369,19 +501,22 @@ def enumerate_graphs(n):
 
 def minimal_obstructions(d, m, max_n, cap=DEFAULT_TM_CAP):
     """Non-members (up to isomorphism, <= max_n vertices) all of whose
-    one-vertex-deleted induced subgraphs are members."""
+    one-vertex-deleted induced subgraphs are members.  Only verdicts are
+    needed, so no witness is built."""
     if max_n < 1:
         raise DomainError("max_n must be >= 1")
     if max_n > cap:
         raise ResourceLimitError(
             f"membership cap is {cap} vertices, got max_n={max_n}"
         )
+    if d < 0 or m < 1:
+        raise DomainError("need d >= 0 and m >= 1")
     verdicts = {}
 
     def is_member(h):
         key, _ = canonical_form(h)
         if key not in verdicts:
-            verdicts[key] = tm_membership(h, d, m, cap=cap) is not None
+            verdicts[key] = h.n == 1 if d == 0 else _decide(h, d, m)
         return verdicts[key]
 
     out = []

@@ -14,16 +14,16 @@ children by a canonical code, so files round-trip byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
 from .errors import DomainError, SignatureConflict, ValidationError
 from .graph import Graph
 from .rooted_tree import RootedTree, check_record, dump_json, flatten_records, load_json, subtree_on
+from .values import value_class
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class TreeModel:
     """An immutable tree-model.
 
@@ -236,7 +236,7 @@ def add_leaf_level(model):
     )
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class CopiedTreeModel:
     """A k-copied tree-model: a depth d+1 model with parameters (d, m, k)."""
 
@@ -275,7 +275,7 @@ def verify_k_copied(model, d, m, k):
 # colored rooted trees and the repeated-subtree reduction
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class ColoredTree:
     """A rooted tree with a color (positive int) on every node."""
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -263,6 +264,82 @@ class TestPrunedWalk:
         CountingGraph.edge_tests = 0
         assert tm_membership(g, 3, 1) is None
         assert CountingGraph.edge_tests < 200_000
+
+
+def _no_walk(*args):
+    raise AssertionError("a NO answer entered the chain walk")
+
+
+def _walk_verdict(g, depth, m, max_block=None):
+    return solver._first_hit(g, m, depth, depth - 1, max_block) is not None
+
+
+class TestDecider:
+    """The colour-first decider against the chain walks and the naive
+    enumerator, and NO answers that never enter the walk."""
+
+    def test_agrees_with_the_unpruned_walks(self):
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                for d in (1, 2, 3):
+                    for m in (1, 2):
+                        if n == 6 and d == 3:
+                            # the unpruned walk needs 15 s here; the pruned
+                            # walk, tied to it by TestPrunedWalk, stands in
+                            want = _walk_verdict(g, d, m)
+                        else:
+                            want = unpruned_tm_membership(g, d, m) is not None
+                        assert solver._decide(g, d, m) == want, (g, d, m)
+                if n == 6:
+                    continue
+                for d in (0, 1, 2):
+                    for m in (1, 2):
+                        for k in (1, 2, 3):
+                            want = unpruned_tmc_membership(g, d, m, k) is not None
+                            assert solver._decide(g, d + 1, m, k) == want, (g, d, m, k)
+
+    def test_agrees_with_the_naive_enumerator(self):
+        for n in range(1, 5):
+            for g in enumerate_graphs(n):
+                for d in (1, 2, 3):
+                    for m in (1, 2):
+                        assert solver._decide(g, d, m) == naive_tm_membership(g, d, m)
+
+    def test_depth_past_the_vertex_count(self):
+        # with n leaves at most n - 1 levels split a block
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                for depth in (n + 1, n + 2):
+                    for m in (1, 2):
+                        assert solver._decide(g, depth, m) == _walk_verdict(g, depth, m)
+                        for k in (1, 2):
+                            assert solver._decide(g, depth + 1, m, k) == (
+                                _walk_verdict(g, depth + 1, m, k))
+
+    def test_no_answers_never_enter_the_walk(self, monkeypatch):
+        no = [(g, d, m) for n in range(1, 6) for g in enumerate_graphs(n)
+              for d in (2, 3) for m in (1, 2)
+              if unpruned_tm_membership(g, d, m) is None]
+        no_copied = [(g, d, m, k) for n in range(1, 6) for g in enumerate_graphs(n)
+                     for d in (1, 2) for m in (1, 2) for k in (1, 2)
+                     if unpruned_tmc_membership(g, d, m, k) is None]
+        assert (len(no), len(no_copied)) == (39, 145)
+
+        monkeypatch.setattr(solver, "_first_hit", _no_walk)
+        assert tm_membership(make_path(8), 3, 1) is None
+        for g, d, m in no:
+            assert tm_membership(g, d, m) is None
+        for g, d, m, k in no_copied:
+            assert tmc_membership(g, d, m, k) is None
+
+    def test_ten_vertex_no_answers_are_fast(self, monkeypatch):
+        # the chain walk took 21.9 s and 44.2 s on these two
+        g = random_graph(random_seeded(99), 10)
+        monkeypatch.setattr(solver, "_first_hit", _no_walk)
+        start = time.perf_counter()
+        assert tm_membership(g, 3, 2) is None
+        assert tm_membership(g, 4, 2) is None
+        assert time.perf_counter() - start < 10.0
 
 
 # SHA-256 over _witness_dump of every answer in _digest_calls, taken before
@@ -542,6 +619,22 @@ class TestObstructions:
     def test_frozen_outputs(self):
         for args, expected in OBSTRUCTION_REPRS.items():
             assert repr(minimal_obstructions(*args)) == expected, args
+
+    def test_bad_depth_or_colour_count_is_refused(self):
+        for args in ((-1, 1, 3), (1, 0, 3)):
+            with pytest.raises(DomainError, match="need d >= 0 and m >= 1"):
+                minimal_obstructions(*args)
+
+    def test_depth_zero_holds_only_the_single_vertex(self):
+        assert minimal_obstructions(0, 1, 4) == [Graph(2), Graph(2, [(0, 1)])]
+
+    def test_verdicts_need_no_witness(self, monkeypatch):
+        def no_witness(*args):
+            raise AssertionError("a witness was built")
+
+        monkeypatch.setattr(solver, "_build_witness", no_witness)
+        monkeypatch.setattr(solver, "_first_hit", no_witness)
+        assert repr(minimal_obstructions(2, 2, 5)) == OBSTRUCTION_REPRS[2, 2, 5]
 
     def test_tiny_range_is_empty(self):
         assert minimal_obstructions(1, 1, 2) == []
