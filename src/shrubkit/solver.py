@@ -261,12 +261,14 @@ def _decide(g, depth, m, max_block=None):
     A level that splits nothing can be dropped, so only strictly finer
     partitions are tried, at most n - 1 levels deep, and a partition that
     fails at one level fails at every deeper one.  Depth 1 has no partition
-    level and is the pruned coloring search alone.
+    level and is the pruned coloring search alone; it takes no max_block,
+    since tmc at d = 0 is answered by its vertex count.  A canonical
+    coloring of n vertices uses at most n colors, so m past n decides as
+    m = n.
     """
     n = g.n
+    m = min(m, n)
     if depth == 1:
-        if max_block is not None and n > max_block:
-            return False
         return _search_coloring(g, m, 1, [[0] * n] * n) is not None
     rows = adjacency_rows(g)
     levels = depth - 1

@@ -292,7 +292,7 @@ class TestDecider:
                         assert solver._decide(g, d, m) == want, (g, d, m)
                 if n == 6:
                     continue
-                for d in (0, 1, 2):
+                for d in (1, 2):
                     for m in (1, 2):
                         for k in (1, 2, 3):
                             want = unpruned_tmc_membership(g, d, m, k) is not None
@@ -331,6 +331,23 @@ class TestDecider:
             assert tm_membership(g, d, m) is None
         for g, d, m, k in no_copied:
             assert tmc_membership(g, d, m, k) is None
+
+    def test_colors_past_the_vertex_count(self):
+        # a canonical coloring of n vertices uses at most n colors, so a
+        # huge m must neither change a verdict nor size anything by m
+        big = 10**6
+        start = time.perf_counter()
+        for n in range(1, 5):
+            for g in enumerate_graphs(n):
+                for d in (1, 2, 3):
+                    assert (tm_membership(g, d, big) is None) == (
+                        tm_membership(g, d, n) is None), (g, d)
+                    for k in (1, 2):
+                        assert (tmc_membership(g, d, big, k) is None) == (
+                            tmc_membership(g, d, n, k) is None), (g, d, k)
+        for d in (1, 2):
+            assert minimal_obstructions(d, big, 4) == minimal_obstructions(d, 4, 4)
+        assert time.perf_counter() - start < 10.0
 
     def test_ten_vertex_no_answers_are_fast(self, monkeypatch):
         # the chain walk took 21.9 s and 44.2 s on these two
