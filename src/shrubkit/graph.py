@@ -44,7 +44,7 @@ class Graph:
                 raise ValidationError(f"edge {e} out of range for n={n}")
             if u == v:
                 raise ValidationError(f"loop at vertex {u} is not allowed")
-            edge_set.add((min(u, v), max(u, v)))
+            edge_set.add((u, v) if u < v else (v, u))
         label_map = {}
         if labels:
             for v, names in labels.items():
@@ -203,18 +203,23 @@ def neighbourhood_diversity(g):
     return len(twin_partition(g))
 
 
-def _refine_colors(g, colors):
-    """Iterated neighbourhood refinement; returns stable per-vertex color ids."""
+def _refine_colors(nbrs, colors):
+    """Iterated neighbourhood refinement; returns stable per-vertex color ids.
+
+    Colors are dense ranks, and a vertex's next color is the rank of its
+    (color, sorted neighbour colors), so a round that splits no color class
+    would give every vertex its color back, and ends the loop instead.
+    """
     while True:
         keys = [
-            (colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
-            for v in range(g.n)
+            (c, tuple(sorted([colors[w] for w in near])))
+            for c, near in zip(colors, nbrs)
         ]
-        order = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [order[k] for k in keys]
-        if new == colors:
+        ranked = sorted(set(keys))
+        if len(ranked) == max(colors, default=-1) + 1:
             return colors
-        colors = new
+        order = {k: i for i, k in enumerate(ranked)}
+        colors = [order[k] for k in keys]
 
 
 def canonical_form(g):
@@ -223,55 +228,56 @@ def canonical_form(g):
     Returns (key, perm) where perm[old] = canonical position and two graphs
     are isomorphic (label-preserving) iff their keys are equal.  The key is
     the minimum adjacency encoding over all orderings that respect the
-    refined color cells, found by prefix-pruned backtracking.
+    refined color cells, found by prefix-pruned backtracking on the
+    adjacency rows: each vertex keeps its row against the placed positions,
+    and candidates of one cell with equal rows and equal rows among the
+    unplaced vertices are interchangeable, so only the first is explored.
     """
     n = g.n
-    init_keys = [
-        (tuple(sorted(g.vertex_labels(v))), g.degree(v)) for v in range(n)
-    ]
+    nbrs = g._adj
+    rows = adjacency_rows(g)
+    init_keys = [len(near) for near in nbrs]
+    names = None
+    if g.labels:
+        names = [tuple(sorted(g.vertex_labels(v))) for v in range(n)]
+        init_keys = list(zip(names, init_keys))
     order = {k: i for i, k in enumerate(sorted(set(init_keys)))}
-    colors = _refine_colors(g, [order[k] for k in init_keys])
+    colors = _refine_colors(nbrs, [order[k] for k in init_keys])
 
-    cells = {}
-    for v in range(n):
-        cells.setdefault(colors[v], []).append(v)
-    cell_order = sorted(cells)
-    # per canonical position, the color id of the cell it belongs to
-    pos_color = []
-    for c in cell_order:
-        pos_color.extend([c] * len(cells[c]))
+    # color ids are dense ranks, so cell c holds the vertices of color c
+    cells = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    # per canonical position, the cell it belongs to
+    pos_cell = [cell for cell in cells for _ in cell]
     cell_signature = tuple(
-        (tuple(sorted(g.vertex_labels(cells[c][0]))), len(cells[c]))
-        for c in cell_order
+        (names[cell[0]] if names else (), len(cell)) for cell in cells
     )
 
     best_rows = []
     best_perm = [None]
     placed = []
-    used = [False] * n
+    placed_row = [0] * n  # bit i of placed_row[v]: v is adjacent to placed[i]
 
-    def residual_twins(u, v):
-        ru = {w for w in g.neighbors(u) if not used[w]} - {v}
-        rv = {w for w in g.neighbors(v) if not used[w]} - {u}
-        return ru == rv
-
-    def dfs(pos):
+    def dfs(pos, free):
         if pos == n:
             best_perm[0] = {v: i for i, v in enumerate(placed)}
             return
-        color = pos_color[pos]
-        candidates = [v for v in cells[color] if not used[v]]
         # vertices interchangeable by an automorphism explore identically
         reps = []
-        for v in candidates:
-            row = 0
-            for i, w in enumerate(placed):
-                if g.has_edge(v, w):
-                    row |= 1 << i
-            if any(r == row and residual_twins(v, u) for r, u in reps):
+        for v in pos_cell[pos]:
+            if not free >> v & 1:
                 continue
-            reps.append((row, v))
-        for row, v in sorted(reps):
+            row = placed_row[v]
+            rv = rows[v]
+            for r, u in reps:
+                if r == row and not (rows[u] ^ rv) & free & ~(1 << u | 1 << v):
+                    break
+            else:
+                reps.append((row, v))
+        reps.sort()
+        bit = 1 << pos
+        for row, v in reps:
             if pos < len(best_rows):
                 if row > best_rows[pos]:
                     continue
@@ -280,17 +286,16 @@ def canonical_form(g):
                     best_rows.append(row)
             else:
                 best_rows.append(row)
-            used[v] = True
             placed.append(v)
-            dfs(pos + 1)
+            for w in nbrs[v]:
+                placed_row[w] ^= bit
+            dfs(pos + 1, free & ~(1 << v))
+            for w in nbrs[v]:
+                placed_row[w] ^= bit
             placed.pop()
-            used[v] = False
 
-    if n:
-        dfs(0)
-    key = (n, cell_signature, tuple(best_rows))
-    perm = best_perm[0] if n else {}
-    return key, perm
+    dfs(0, (1 << n) - 1)
+    return (n, cell_signature, tuple(best_rows)), best_perm[0]
 
 
 def are_isomorphic(g, h, witness=False):
@@ -307,11 +312,14 @@ def are_isomorphic(g, h, witness=False):
         return True
     inv_h = {pos: v for v, pos in perm_h.items()}
     mapping = {v: inv_h[perm_g[v]] for v in range(g.n)}
-    assert all(
-        h.has_edge(mapping[u], mapping[v]) == g.has_edge(u, v)
+    if any(
+        h.has_edge(mapping[u], mapping[v]) != g.has_edge(u, v)
         for u in range(g.n)
         for v in range(u + 1, g.n)
-    )
+    ):
+        raise RuntimeError(
+            "equal canonical keys gave a mapping that is not an isomorphism"
+        )
     return True, mapping
 
 

@@ -464,47 +464,73 @@ def sc_membership(g, depth, cap=DEFAULT_SC_CAP):
     return _drive(member(g, depth))
 
 
+# level n -> its graphs, in canonical layout and ordered by canonical key
 _GRAPH_LISTS = {0: (Graph(0),)}
+# level n >= 1 -> (index, parents) of its classes, in the order of its graphs:
+# index maps a canonical key to its position, and parents holds per class the
+# positions one level down whose extensions reached it
+_CLASSES = {}
 
 
 def enumerate_graphs(n):
     """Every graph on 0..n-1 up to isomorphism, each in canonical layout,
-    ordered by canonical form.  Levels are cached across calls.
+    ordered by canonical form.  Levels are cached across calls, and missing
+    ones are built in turn from the highest cached level.
 
     Level n extends each graph g of level n-1 by a vertex n-1 joined to the
     vertices of a mask, but only where n-1 has least degree in the result:
     popcount(mask) <= deg_g(v) + [v in mask] for every v < n-1.  This is
     complete, because every graph has a vertex of least degree, and deleting
     it leaves a graph isomorphic to one of level n-1; the isomorphism carries
-    that vertex's neighbours to a mask the rule admits.  Equal canonical
-    keys give the same canonical layout, so which extension reaches a key
-    first does not change the output.
+    that vertex's neighbours to a mask the rule admits.  So the level n-1
+    classes whose extensions reach a class are exactly the classes of its
+    least-degree deletions; `_CLASSES` keeps them as the class's parents,
+    next to the canonical keys.  Equal canonical keys give the same canonical
+    layout, so which extension reaches a key first does not change the
+    output.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    if n not in _GRAPH_LISTS:
-        seen = {}
-        for g in enumerate_graphs(n - 1):
-            degrees = [g.degree(v) for v in range(n - 1)]
-            for mask in range(1 << (n - 1)):
-                k = mask.bit_count()
-                if any(d + (mask >> v & 1) < k for v, d in enumerate(degrees)):
+    top = 0
+    while top < n and top + 1 in _GRAPH_LISTS and top + 1 in _CLASSES:
+        top += 1
+    for k in range(top + 1, n + 1):
+        found = {}  # key -> (graph in canonical layout, parent positions)
+        for i, g in enumerate(_GRAPH_LISTS[k - 1]):
+            degrees = [g.degree(v) for v in range(k - 1)]
+            for mask in range(1 << (k - 1)):
+                size = mask.bit_count()
+                if any(d + (mask >> v & 1) < size for v, d in enumerate(degrees)):
                     continue
                 edges = list(g.edges) + [
-                    (v, n - 1) for v in range(n - 1) if mask >> v & 1
+                    (v, k - 1) for v in range(k - 1) if mask >> v & 1
                 ]
-                h = Graph(n, edges)
+                h = Graph(k, edges)
                 key, perm = canonical_form(h)
-                if key not in seen:
-                    seen[key] = relabel_graph(h, perm)
-        _GRAPH_LISTS[n] = tuple(seen[key] for key in sorted(seen))
+                if key in found:
+                    found[key][1].add(i)
+                else:
+                    found[key] = (relabel_graph(h, perm), {i})
+        keys = sorted(found)
+        _GRAPH_LISTS[k] = tuple(found[key][0] for key in keys)
+        _CLASSES[k] = (
+            {key: i for i, key in enumerate(keys)},
+            tuple(frozenset(found[key][1]) for key in keys),
+        )
     return list(_GRAPH_LISTS[n])
 
 
 def minimal_obstructions(d, m, max_n, cap=DEFAULT_TM_CAP):
     """Non-members (up to isomorphism, <= max_n vertices) all of whose
     one-vertex-deleted induced subgraphs are members.  Only verdicts are
-    needed, so no witness is built."""
+    needed, so no witness is built.
+
+    Each class of the enumeration is decided once, by its position in its
+    level.  A class's parents are the classes of its least-degree deletions
+    (see `enumerate_graphs`), so a non-member with a non-member parent is not
+    minimal, and the rest need only the deletions of the vertices above
+    least degree canonized, to find their classes one level down.
+    """
     if max_n < 1:
         raise DomainError("max_n must be >= 1")
     if max_n > cap:
@@ -513,23 +539,32 @@ def minimal_obstructions(d, m, max_n, cap=DEFAULT_TM_CAP):
         )
     if d < 0 or m < 1:
         raise DomainError("need d >= 0 and m >= 1")
-    verdicts = {}
-
-    def is_member(h):
-        key, _ = canonical_form(h)
-        if key not in verdicts:
-            verdicts[key] = h.n == 1 if d == 0 else _decide(h, d, m)
-        return verdicts[key]
-
+    enumerate_graphs(max_n)  # builds and caches every level up to max_n
     out = []
+    member = ()
     for n in range(1, max_n + 1):
-        for h in enumerate_graphs(n):
-            if is_member(h):
+        graphs = _GRAPH_LISTS[n]
+        below, member = member, [
+            h.n == 1 if d == 0 else _decide(h, d, m) for h in graphs
+        ]
+        _, parents_of = _CLASSES[n]
+        # the one vertex is a member of every class, so level 1 never
+        # reads the empty level below it
+        for h, ok, parents in zip(graphs, member, parents_of):
+            if ok or not all(below[p] for p in parents):
                 continue
-            keep_all = all(
-                is_member(induced_subgraph(h, [u for u in range(n) if u != v])[0])
+            least = min(h.degree(v) for v in range(n))
+            if all(
+                below[_deletion_class(h, v)]
                 for v in range(n)
-            )
-            if keep_all:
+                if h.degree(v) > least
+            ):
                 out.append(h)
     return out
+
+
+def _deletion_class(h, v):
+    """Position of the class of h minus v in its enumeration level."""
+    sub, _ = induced_subgraph(h, [u for u in range(h.n) if u != v])
+    index, _ = _CLASSES[h.n - 1]
+    return index[canonical_form(sub)[0]]

@@ -4,10 +4,12 @@ The oracles are deliberately naive re-derivations of quantities the package
 computes by cleverer means: straight-line recursions with no pruning, no
 symmetry breaking and no shared code paths.  Tests freeze expected values by
 comparing against these, never against the implementation under test.  The
-two exceptions are the unpruned tree-model chain walk, which reuses the
-solver's coloring search and model assembly, and the exhaustive SC-tree
-recursion, which reuses the canonical form and the graph operations; both
-exist so that their witnesses can be compared with the solver's exactly.
+exceptions are the unpruned tree-model chain walk, which reuses the solver's
+coloring search and model assembly, the exhaustive SC-tree recursion, which
+reuses the canonical form and the graph operations, and the deletion loop of
+minimal obstructions, which reuses the enumeration, the canonical form and
+the solver's decider; they exist so that their results can be compared with
+the solver's exactly.
 The formula analyses (free variables, names, quantifier counts, moduli and
 first-order substitution) are written here with one case per node kind,
 against the package's single walks over each kind's field table.
@@ -32,9 +34,11 @@ from shrubkit.rooted_tree import RootedTree
 from shrubkit.sc_model import SCTree
 from shrubkit.solver import (
     _build_witness,
+    _decide,
     _iter_partitions,
     _relabel_sc,
     _search_coloring,
+    enumerate_graphs,
 )
 from shrubkit.tree_model import ColoredTree, CopiedTreeModel, TreeModel
 from shrubkit.mso.formulas import (
@@ -286,6 +290,31 @@ def exhaustive_sc_membership(g, depth):
         return None
 
     return member(g, depth)
+
+
+def deletion_minimal_obstructions(d, m, max_n):
+    """minimal_obstructions without the enumeration's parents: every class
+    and every one-vertex deletion is canonized, and each canonical key is
+    decided once."""
+    verdicts = {}
+
+    def is_member(h):
+        key, _ = canonical_form(h)
+        if key not in verdicts:
+            verdicts[key] = h.n == 1 if d == 0 else _decide(h, d, m)
+        return verdicts[key]
+
+    out = []
+    for n in range(1, max_n + 1):
+        for h in enumerate_graphs(n):
+            if is_member(h):
+                continue
+            if all(
+                is_member(induced_subgraph(h, [u for u in range(n) if u != v])[0])
+                for v in range(n)
+            ):
+                out.append(h)
+    return out
 
 
 def reference_evaluate(structure, formula, fo=None, sets=None):
@@ -739,6 +768,17 @@ def random_graph(rng, n, p=0.5):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     return Graph(n, edges)
+
+
+def random_labelled_graph(rng, n):
+    """A random graph of random density in which about a third of the
+    vertices carry a nonempty subset of the labels a and b."""
+    g = random_graph(rng, n, rng.random())
+    labels = {}
+    for v in range(n):
+        if rng.random() < 1 / 3:
+            labels[v] = rng.choice(({"a"}, {"b"}, {"a", "b"}))
+    return Graph(n, g.edges, labels)
 
 
 def random_formula(rng, depth, fo_scope=(), set_scope=(), labels=(), rels=(),

@@ -1,6 +1,7 @@
 """Graph container, text format, isomorphism and twin machinery."""
 
 import functools
+import hashlib
 import itertools
 import os
 import subprocess
@@ -32,7 +33,7 @@ from shrubkit import (
 )
 from shrubkit.graph import MAX_TEXT_VERTICES
 
-from .helpers import random_graph, random_seeded
+from .helpers import random_graph, random_labelled_graph, random_seeded
 
 
 def test_graph_basics():
@@ -180,6 +181,34 @@ def test_canonical_form_perm_is_consistent():
         assert canonical_form(relabeled)[0] == key
 
 
+# SHA-256 over (key, sorted(perm.items())) for the corpus of
+# _canonical_corpus, taken from the kernel that tested edges through has_edge
+CANONICAL_FORM_DIGEST = (
+    "40aa4f900341e4b3dde2e5d90737f83cbb3fb23b2f9a1390c32a5ad89f3915d6"
+)
+
+
+def _canonical_corpus():
+    """Every graph on 0..7 vertices under a seeded relabelling, then 3,000
+    seeded labelled random graphs on 1..11 vertices."""
+    rng = random_seeded(14)
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield relabel_graph(g, perm)
+    for _ in range(3000):
+        yield random_labelled_graph(rng, rng.randint(1, 11))
+
+
+def test_canonical_form_keys_and_perms_are_pinned():
+    digest = hashlib.sha256()
+    for g in _canonical_corpus():
+        key, perm = canonical_form(g)
+        digest.update(repr((key, sorted(perm.items()))).encode() + b"\n")
+    assert digest.hexdigest() == CANONICAL_FORM_DIGEST
+
+
 def test_are_isomorphic_with_witness():
     rng = random_seeded(6)
     for _ in range(40):
@@ -195,6 +224,28 @@ def test_are_isomorphic_with_witness():
     a = Graph(2, [(0, 1)], {0: {"x"}})
     b = Graph(2, [(0, 1)])
     assert not are_isomorphic(a, b)
+
+
+WRONG_PERM = """
+from shrubkit import graph
+real = graph.canonical_form
+# equal keys, but an identity labelling that is no isomorphism of the paths
+graph.canonical_form = lambda g: (real(g)[0], {v: v for v in range(g.n)})
+try:
+    graph.are_isomorphic(graph.Graph(3, [(0, 1), (1, 2)]),
+                         graph.Graph(3, [(0, 1), (0, 2)]), witness=True)
+except RuntimeError as exc:
+    print("refused:", exc, "debug" if __debug__ else "optimized")
+"""
+
+
+def test_are_isomorphic_checks_its_mapping_under_optimization():
+    src = str(Path(shrubkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", WRONG_PERM], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.startswith("refused: equal canonical keys"), done.stderr
+    assert done.stdout.rstrip().endswith("optimized")
 
 
 def test_is_induced_subgraph_matches_brute_force():

@@ -37,6 +37,7 @@ from shrubkit.sc_model import sc_to_text
 from shrubkit.tree_model import model_to_text
 
 from .helpers import (
+    deletion_minimal_obstructions,
     exhaustive_sc_membership,
     naive_sc_member_2,
     naive_tm_membership,
@@ -636,6 +637,20 @@ class TestObstructions:
     def test_frozen_outputs(self):
         for args, expected in OBSTRUCTION_REPRS.items():
             assert repr(minimal_obstructions(*args)) == expected, args
+
+    def test_agrees_with_the_deletion_loop(self):
+        for args in ((0, 1, 4), (1, 1, 6), (1, 3, 6), (2, 1, 6), (2, 2, 5),
+                     (3, 2, 5)):
+            want = deletion_minimal_obstructions(*args)
+            assert minimal_obstructions(*args) == want, args
+
+    def test_cold_run_canonizes_each_class_once(self, monkeypatch):
+        # canonizing every level graph and every deletion took 892 calls
+        calls = _count_canonical_forms(monkeypatch)
+        monkeypatch.setattr(solver, "_GRAPH_LISTS", {0: (Graph(0),)})
+        monkeypatch.setattr(solver, "_CLASSES", {})
+        assert repr(minimal_obstructions(1, 2, 6)) == OBSTRUCTION_REPRS[1, 2, 6]
+        assert len(calls) == 499
 
     def test_bad_depth_or_colour_count_is_refused(self):
         for args in ((-1, 1, 3), (1, 0, 3)):
