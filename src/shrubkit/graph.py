@@ -254,16 +254,9 @@ def canonical_form(g):
         (names[cell[0]] if names else (), len(cell)) for cell in cells
     )
 
-    best_rows = []
-    best_perm = [None]
-    placed = []
-    placed_row = [0] * n  # bit i of placed_row[v]: v is adjacent to placed[i]
-
-    def dfs(pos, free):
-        if pos == n:
-            best_perm[0] = {v: i for i, v in enumerate(placed)}
-            return
-        # vertices interchangeable by an automorphism explore identically
+    def candidates(pos, free):
+        """The vertices to try at pos, one per interchangeable group, as
+        (row against the placed positions, vertex) in increasing order."""
         reps = []
         for v in pos_cell[pos]:
             if not free >> v & 1:
@@ -276,26 +269,46 @@ def canonical_form(g):
             else:
                 reps.append((row, v))
         reps.sort()
-        bit = 1 << pos
-        for row, v in reps:
-            if pos < len(best_rows):
-                if row > best_rows[pos]:
-                    continue
-                if row < best_rows[pos]:
-                    del best_rows[pos:]
-                    best_rows.append(row)
-            else:
-                best_rows.append(row)
-            placed.append(v)
-            for w in nbrs[v]:
-                placed_row[w] ^= bit
-            dfs(pos + 1, free & ~(1 << v))
-            for w in nbrs[v]:
-                placed_row[w] ^= bit
-            placed.pop()
+        return iter(reps)
 
-    dfs(0, (1 << n) - 1)
-    return (n, cell_signature, tuple(best_rows)), best_perm[0]
+    best_rows = []
+    best_perm = {}
+    placed = []
+    placed_row = [0] * n  # bit i of placed_row[v]: v is adjacent to placed[i]
+    free = (1 << n) - 1
+    # the backtracking runs on an explicit stack, so depth is not bounded by
+    # the interpreter's recursion limit: stack[pos] yields the candidates at
+    # pos not yet tried, and placed[pos] is the one being explored
+    stack = [candidates(0, free)] if n else []
+    while stack:
+        pos = len(stack) - 1
+        if len(placed) > pos:
+            v = placed.pop()
+            free |= 1 << v
+            for w in nbrs[v]:
+                placed_row[w] ^= 1 << pos
+        step = next(stack[pos], None)
+        if step is None:
+            stack.pop()
+            continue
+        row, v = step
+        if pos < len(best_rows):
+            if row > best_rows[pos]:
+                continue
+            if row < best_rows[pos]:
+                del best_rows[pos:]
+                best_rows.append(row)
+        else:
+            best_rows.append(row)
+        placed.append(v)
+        free &= ~(1 << v)
+        for w in nbrs[v]:
+            placed_row[w] ^= 1 << pos
+        if pos + 1 == n:
+            best_perm = {v: i for i, v in enumerate(placed)}
+        else:
+            stack.append(candidates(pos + 1, free))
+    return (n, cell_signature, tuple(best_rows)), best_perm
 
 
 def are_isomorphic(g, h, witness=False):

@@ -23,7 +23,24 @@ never cut.  Once every vertex is decided, phi runs exactly, and only that
 run gives the answer; formulas without set quantifiers run exactly
 throughout.
 
-Exact runs short-circuit left to right, and an atom naming a missing
+A first-order quantifier runs bit-parallel when its body holds only atoms,
+connectives and first-order quantifiers: the body compiles to a closure for
+the mask of the bound variable's values at which it holds.  `edge(x, y)`
+with x bound is y's adjacency row (`graph.adjacency_rows`), `x in X` is X's
+mask, widened by the undecided vertices in a bound of polarity True, and
+labels and relations are masks and rows built once per `compile_formula`.
+Connectives are mask operations, and a quantifier nested in the body ORs or
+ANDs the body's masks over its own values.  `ex1` asks whether the mask is
+non-zero and `all1` whether it is full, so `all1 x. all1 y. phi` takes n
+mask operations where a loop per variable makes n^2 closure calls.  Each
+bit is the value the loop would compute for its vertex, so verdicts and the
+block search's cuts are the same.  Nothing in such a body can raise, so the
+order of evaluation cannot be seen; in a bound nothing raises at all, so
+every first-order quantifier of a bound runs on masks.
+
+The loop over the values stays for a body that holds a set quantifier, a
+missing relation or an unknown node, and with it the short-circuit: exact
+runs outside the mask form go left to right, and an atom naming a missing
 relation, or a node of unknown kind, raises only when an exact run reaches
 it, so in a block only at a leaf of the search.  Which leaves are reached,
 and in what order, is the search's: vertex 0 is decided first, and a cut
@@ -35,7 +52,7 @@ the reverse.
 from __future__ import annotations
 
 from ..errors import DomainError, ResourceLimitError, ValidationError
-from ..graph import Graph
+from ..graph import Graph, adjacency_rows
 from ..values import value_class
 from .formulas import (
     AllSet,
@@ -61,6 +78,10 @@ from .formulas import (
 
 DEFAULT_VERTEX_CAP = 12
 DEFAULT_SET_QUANTIFIER_CAP = 3
+
+# the node kinds a first-order quantifier's body may hold to run on masks
+_FIRST_ORDER = (TrueConst, FalseConst, Edge, Eq, InSet, ModCount, HasLabel,
+                RelAtom, Not, And, Or, Implies, Iff, ExistsVertex, AllVertex)
 
 
 @value_class
@@ -165,10 +186,31 @@ def compile_formula(
             "unassigned free variables: " + ", ".join(sorted(missing))
         )
 
-    has_edge = s.graph.has_edge
-    vertex_labels = s.graph.vertex_labels
-    relations = s.relations
+    # adjacency, each label and each relation as masks, read once
+    rows = adjacency_rows(s.graph)
+    relation_rows = {}
+    for name, pairs in s.relations.items():
+        table = relation_rows[name] = [0] * n
+        for u, v in pairs:
+            table[u] |= 1 << v
+    label_masks = {}
+    for v, labels in s.graph.labels.items():
+        for label in labels:
+            label_masks[label] = label_masks.get(label, 0) | 1 << v
     vertices = range(n)
+    full = (1 << n) - 1
+
+    def table_of(f):
+        """The rows an Edge or RelAtom reads, or None for a missing relation."""
+        return rows if type(f) is Edge else relation_rows.get(f.rel)
+
+    def first_order(f):
+        """Whether f holds no set quantifier, missing relation or unknown
+        node, so that it runs on masks and cannot raise."""
+        t = type(f)
+        if t not in _FIRST_ORDER or t is RelAtom and f.rel not in relation_rows:
+            return False
+        return all(first_order(getattr(f, part)) for part in f._PARTS)
 
     def compile_(f, scope, polarity=None, block=()):
         """A closure for f: its truth when polarity is None.  As a bound for
@@ -199,7 +241,13 @@ def compile_formula(
         if t in (ExistsVertex, AllVertex):
             slot = len(env)
             env.append(None)
-            body = compile_(f.body, {**scope, f.var: slot}, polarity, block)
+            scope = {**scope, f.var: slot}
+            if polarity is not None or first_order(f.body):
+                values = compile_mask(f.body, scope, slot, polarity, block)
+                if t is ExistsVertex:
+                    return lambda: values() != 0
+                return lambda: values() == full
+            body = compile_(f.body, scope, polarity, block)
 
             def exists():
                 for v in vertices:
@@ -218,9 +266,9 @@ def compile_formula(
             return exists if t is ExistsVertex else forall
         if t in (ExistsSet, AllSet):
             return compile_block(f, scope) if polarity is None else lambda: polarity
-        if t is Edge:
-            i, j = scope[f.x], scope[f.y]
-            return lambda: has_edge(env[i], env[j])
+        if t in (Edge, RelAtom) and table_of(f) is not None:
+            i, j, table = scope[f.x], scope[f.y], table_of(f)
+            return lambda: bool(table[env[i]] >> env[j] & 1)
         if t is Eq:
             i, j = scope[f.x], scope[f.y]
             return lambda: env[i] == env[j]
@@ -237,11 +285,8 @@ def compile_formula(
                 return lambda: polarity
             return lambda: env[k].bit_count() % b == a
         if t is HasLabel:
-            i, label = scope[f.x], f.label
-            return lambda: label in vertex_labels(env[i])
-        if t is RelAtom and f.rel in relations:
-            i, j, pairs = scope[f.x], scope[f.y], relations[f.rel]
-            return lambda: (env[i], env[j]) in pairs
+            i, mask = scope[f.x], label_masks.get(f.label, 0)
+            return lambda: bool(mask >> env[i] & 1)
         if polarity is not None:
             return lambda: polarity
         if t is RelAtom:
@@ -253,6 +298,77 @@ def compile_formula(
             raise error
 
         return fail
+
+    def compile_mask(f, scope, var, polarity, block):
+        """A closure for the mask of the values of slot var at which f's
+        closure from compile_ would answer True.  f is first-order, or
+        polarity is set, so nothing in it raises and no order of evaluation
+        can be seen."""
+        t = type(f)
+        flip = None if polarity is None else not polarity
+        if t is Not:
+            body = compile_mask(f.body, scope, var, flip, block)
+            return lambda: full ^ body()
+        if t in (And, Or, Implies) or t is Iff and polarity is None:
+            left = compile_mask(f.left, scope, var, flip if t is Implies else polarity, block)
+            right = compile_mask(f.right, scope, var, polarity, block)
+            if t is And:
+                return lambda: left() & right()
+            if t is Or:
+                return lambda: left() | right()
+            if t is Implies:
+                return lambda: full ^ left() | right()
+            return lambda: full ^ left() ^ right()
+        if t in (ExistsVertex, AllVertex):
+            slot = len(env)
+            env.append(None)
+            body = compile_mask(f.body, {**scope, f.var: slot}, var, polarity, block)
+
+            # an OR or an AND over the bound slot's values, for every value
+            # of var at once, stopped once no bit can change
+            def exists():
+                acc = 0
+                for v in vertices:
+                    env[slot] = v
+                    acc |= body()
+                    if acc == full:
+                        break
+                return acc
+
+            def forall():
+                acc = full
+                for v in vertices:
+                    env[slot] = v
+                    acc &= body()
+                    if not acc:
+                        break
+                return acc
+
+            return exists if t is ExistsVertex else forall
+        if t in (Edge, Eq, RelAtom) and var in (scope[f.x], scope[f.y]):
+            i, j = scope[f.x], scope[f.y]
+            other = j if i == var else i
+            if t is Eq:
+                return (lambda: full) if i == j else lambda: 1 << env[other]
+            table = table_of(f)
+            if table is not None:
+                if i == j:
+                    loops = sum(1 << v for v in vertices if table[v] >> v & 1)
+                    return lambda: loops
+                # rows are symmetric, so the other end's row serves
+                return lambda: table[env[other]]
+        if t is HasLabel and scope[f.x] == var:
+            mask = label_masks.get(f.label, 0)
+            return lambda: mask
+        if t is InSet and scope[f.x] == var:
+            k = scope[f.var]
+            if polarity and k in block[:-1]:
+                u = block[-1]
+                return lambda: env[k] | env[u]
+            return lambda: env[k]
+        # f does not read var, so its one value holds at every value of var
+        test = compile_(f, scope, polarity, block)
+        return lambda: full if test() else 0
 
     def compile_block(f, scope):
         """The search over a maximal run of like set quantifiers, deciding

@@ -525,11 +525,12 @@ def minimal_obstructions(d, m, max_n, cap=DEFAULT_TM_CAP):
     one-vertex-deleted induced subgraphs are members.  Only verdicts are
     needed, so no witness is built.
 
-    Each class of the enumeration is decided once, by its position in its
-    level.  A class's parents are the classes of its least-degree deletions
-    (see `enumerate_graphs`), so a non-member with a non-member parent is not
-    minimal, and the rest need only the deletions of the vertices above
-    least degree canonized, to find their classes one level down.
+    Each class of the enumeration is decided at most once, by its position
+    in its level.  A class's parents are the classes of its least-degree
+    deletions (see `enumerate_graphs`), so a class with a non-member parent
+    is a non-member that is not minimal, and is not decided; the other
+    non-members need only the deletions of the vertices above least degree
+    canonized, to find their classes one level down.
     """
     if max_n < 1:
         raise DomainError("max_n must be >= 1")
@@ -541,15 +542,18 @@ def minimal_obstructions(d, m, max_n, cap=DEFAULT_TM_CAP):
         raise DomainError("need d >= 0 and m >= 1")
     enumerate_graphs(max_n)  # builds and caches every level up to max_n
     out = []
-    member = ()
+    member = (True,)  # level 0, the empty graph
     for n in range(1, max_n + 1):
         graphs = _GRAPH_LISTS[n]
-        below, member = member, [
-            h.n == 1 if d == 0 else _decide(h, d, m) for h in graphs
-        ]
         _, parents_of = _CLASSES[n]
-        # the one vertex is a member of every class, so level 1 never
-        # reads the empty level below it
+        below = member
+        # a tree-model restricts to any subset of its leaves, so a class
+        # with a non-member parent is a non-member and is not decided
+        member = [
+            all(below[p] for p in parents)
+            and (h.n == 1 if d == 0 else _decide(h, d, m))
+            for h, parents in zip(graphs, parents_of)
+        ]
         for h, ok, parents in zip(graphs, member, parents_of):
             if ok or not all(below[p] for p in parents):
                 continue

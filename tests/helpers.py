@@ -321,10 +321,11 @@ def reference_evaluate(structure, formula, fo=None, sets=None):
     """Direct-recursion evaluator over explicit frozensets.
 
     Subsets are listed in the binary count in which vertex 0 toggles
-    fastest.  For a formula without set quantifiers the evaluator
-    short-circuits at the same point, so both test the same edges; set
-    quantifiers it decides by a search that visits sets in another order
-    and cuts branches.
+    fastest, and every quantifier loops over its values one at a time,
+    testing edges with `Graph.has_edge`.  The evaluator computes a
+    first-order quantifier's values at once as a bitmask, and decides set
+    quantifiers by a search that visits sets in another order and cuts
+    branches.
     """
     if isinstance(structure, Graph):
         g, rels = structure, {}

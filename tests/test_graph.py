@@ -209,6 +209,20 @@ def test_canonical_form_keys_and_perms_are_pinned():
     assert digest.hexdigest() == CANONICAL_FORM_DIGEST
 
 
+def test_canonical_form_past_the_recursion_limit():
+    # one backtracking level per vertex, more levels than the interpreter's
+    # default recursion limit of 1,000 frames
+    n = 1100
+    key, perm = canonical_form(Graph(n))
+    assert key == (n, (((), n),), (0,) * n)
+    assert perm == {v: v for v in range(n)}
+    path = make_path(n - 1)
+    order = list(range(n))
+    random_seeded(11).shuffle(order)
+    ok, mapping = are_isomorphic(path, relabel_graph(path, order), witness=True)
+    assert ok and relabel_graph(path, mapping) == relabel_graph(path, order)
+
+
 def test_are_isomorphic_with_witness():
     rng = random_seeded(6)
     for _ in range(40):

@@ -144,7 +144,8 @@ _atoms = st.one_of(
     st.builds(InSet, _fo, _set),
     st.builds(lambda b, a, var: ModCount(a % b, b, var),
               st.sampled_from((2, 3)), st.integers(0, 2), _set),
-    st.builds(HasLabel, st.sampled_from(("a", "b")), _fo),
+    # no vertex carries the label c
+    st.builds(HasLabel, st.sampled_from(("a", "b", "c")), _fo),
     st.builds(RelAtom, st.just("near"), _fo, _fo),
 )
 
@@ -532,6 +533,36 @@ class TestEvaluate:
         assert evaluate(s, parse_formula("all1 x. all1 y. (rel_near(x, y) -> rel_near(y, x))"))
         with pytest.raises(DomainError):
             evaluate(s, parse_formula("ex1 x. rel_far(x, x)"))
+        # against the reference, with loops in the relation, a label no
+        # vertex carries, atoms on one variable twice, quantifier bodies
+        # that hold a set quantifier, and free variables assigned, as
+        # apply_interpretation assigns them
+        texts = [
+            "ex1 x. rel_r(x, x)",
+            "all1 x. (rel_r(x, x) -> ex1 y. (rel_r(x, y) & !(x = y)))",
+            "all1 x. (x = x & !edge(x, x))",
+            "ex1 x. (edge(x, x) | label_blue(x) | !(x = x))",
+            "all1 x. (label_blue(x) <-> rel_r(x, x) & !rel_r(x, x))",
+            "ex1 x. (label_red(x) & ex2 X. (x in X & all1 y. (y in X -> rel_r(x, y))))",
+            "all1 x. ((edge(x, y) & x in Y) -> ex2 X. (x in X & mod(1, 2, X) & !(y in X)))",
+            "rel_r(x, x) | ex1 z. (rel_r(x, z) & edge(z, y))",
+            "all1 z. (z in X -> (edge(z, x) | z = y | label_big(z)))",
+            "edge(x, y) | ex1 z. (edge(x, z) & edge(z, y))",
+        ]
+        phis = [parse_formula(t) for t in texts]
+        for n in range(1, 5):
+            last = n - 1
+            labels = {0: {"red"}, last: {"red", "big"}}
+            r = [(0, 0), (0, last), *((v, v) for v in range(1, n, 2))]
+            for g in enumerate_graphs(n):
+                s = RelStructure(Graph(n, g.edges, labels), {"r": r})
+                for x, y in itertools.product((0, last), repeat=2):
+                    for big in (frozenset(), frozenset({0}), frozenset(range(n))):
+                        sets = {"X": big, "Y": frozenset(range(n)) - big}
+                        for phi in phis:
+                            want = reference_evaluate(s, phi, {"x": x, "y": y}, sets)
+                            got = evaluate(s, phi, {"x": x, "y": y, **sets})
+                            assert got == want, (g, format_formula(phi), x, y, big)
 
     def test_assignment_names_split_by_case(self):
         g = Graph(3, [(0, 1)])
@@ -580,7 +611,8 @@ class TestEvaluate:
         assume(n or not free_fo)
         pairs = list(itertools.combinations(range(n), 2))
         edges = [p for p in pairs if data.draw(st.booleans())]
-        near = [p for p in pairs if data.draw(st.booleans())]
+        near = [p for p in itertools.combinations_with_replacement(range(n), 2)
+                if data.draw(st.booleans())]
         labels = {v: data.draw(st.sets(st.sampled_from(("a", "b"))))
                   for v in range(n)}
         s = RelStructure(Graph(n, edges, labels), {"near": near})
@@ -636,29 +668,48 @@ class TestEvaluate:
         monkeypatch.setattr(Graph, "has_edge", counted)
         return count
 
-    def test_edge_tests_match_the_reference(self, edge_tests):
-        # a sentence without set quantifiers is run exactly, short-circuiting
-        # in the reference's order, so both test the same pairs
-        graphs = [g for n in range(1, 5) for g in enumerate_graphs(n)]
-        phis = [phi for phi in map(parse_formula, CORPUS)
-                if not set_quantifier_rank(phi)]
-        assert len(phis) == 11
-        total = 0
-        for g in graphs:
-            for phi in phis:
-                edge_tests[0] = 0
-                evaluate(g, phi)
-                got = edge_tests[0]
-                edge_tests[0] = 0
-                reference_evaluate(g, phi)
-                assert got == edge_tests[0], (g, format_formula(phi))
-                total += got
-        assert total > 0
+    @pytest.fixture
+    def row_reads(self, monkeypatch):
+        """Counts the reads of the adjacency rows that compile_formula takes
+        from graph.adjacency_rows, from now on."""
+        count = [0]
 
-    def test_edge_tests_of_the_block_search_are_pinned(self, edge_tests):
+        class Rows(list):
+            def __getitem__(self, v):
+                count[0] += 1
+                return list.__getitem__(self, v)
+
+        module = importlib.import_module("shrubkit.mso.evaluate")
+        rows_of = module.adjacency_rows
+        monkeypatch.setattr(module, "adjacency_rows", lambda g: Rows(rows_of(g)))
+        return count
+
+    def test_first_order_sentences_run_on_rows(self, edge_tests, row_reads):
+        # a first-order quantifier computes the mask of its variable's
+        # values from adjacency rows: no has_edge call, one row read per
+        # edge atom and value of the variables bound inside it; per
+        # sentence, the reads summed over every graph on 1-4 vertices
+        graphs = [g for n in range(1, 5) for g in enumerate_graphs(n)]
+        texts = {i: t for i, t in enumerate(CORPUS)
+                 if not set_quantifier_rank(parse_formula(t))}
+        assert len(texts) == 11
+        got = {}
+        for key, text in texts.items():
+            phi = parse_formula(text)
+            row_reads[0] = 0
+            for g in graphs:
+                edge_tests[0] = 0
+                value = evaluate(g, phi)
+                assert edge_tests[0] == 0
+                assert value == reference_evaluate(g, phi), (g, text)
+            got[key] = row_reads[0]
+        assert got == {0: 0, 1: 0, 2: 56, 3: 56, 4: 47, 5: 47, 6: 56, 7: 618,
+                       14: 371, 15: 47, 18: 93}
+
+    def test_edge_tests_of_the_block_search_are_pinned(self, edge_tests, row_reads):
         # set quantifiers are decided vertex by vertex with cuts, so the
-        # pairs tested differ from the reference's 2^n loop; per sentence,
-        # the count summed over every graph on 1-4 vertices
+        # pairs read differ from the reference's 2^n loop; per sentence, the
+        # adjacency row reads summed over every graph on 1-4 vertices
         graphs = [g for n in range(1, 5) for g in enumerate_graphs(n)]
         texts = {i: t for i, t in enumerate(CORPUS)
                  if set_quantifier_rank(parse_formula(t))}
@@ -666,28 +717,29 @@ class TestEvaluate:
         got = {}
         for key, text in texts.items():
             phi = parse_formula(text)
-            edge_tests[0] = 0
+            row_reads[0] = 0
             for g in graphs:
                 evaluate(g, phi)
-            got[key] = edge_tests[0]
+            got[key] = row_reads[0]
+        assert edge_tests[0] == 0
         assert got == {
-            8: 0, 9: 0, 10: 51, 11: 0, 12: 0, 13: 1199, 16: 0, 17: 0, 19: 43,
-            "colourable_2": 2360, "colourable_3": 2016, "pairs_touch": 1096,
-            "connected": 238, "odd_kernel": 460,
+            8: 0, 9: 0, 10: 222, 11: 0, 12: 0, 13: 2232, 16: 0, 17: 0, 19: 43,
+            "colourable_2": 978, "colourable_3": 1045, "pairs_touch": 2178,
+            "connected": 723, "odd_kernel": 894,
         }
 
-    def test_colourable_3_on_k4_plus_a_tail(self, edge_tests):
+    def test_colourable_3_on_k4_plus_a_tail(self, row_reads):
         phi = parse_formula(BLOCK_SENTENCES["colourable_3"])
         k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
         # K4 on 0-3 and a path 3-4-...-11: cut at vertex 3 of every branch
         g = Graph(12, [*k4, *((v, v + 1) for v in range(3, 11))])
         assert not evaluate(g, phi)
-        assert edge_tests[0] == 4652
+        assert row_reads[0] == 2184
         # a path 0-1-...-6 and K4 on 6-9: every colouring of the path is tried
-        edge_tests[0] = 0
+        row_reads[0] = 0
         g = Graph(10, [*((v, v + 1) for v in range(6)), *((a + 6, b + 6) for a, b in k4)])
         assert not evaluate(g, phi)
-        assert edge_tests[0] == 2936046
+        assert row_reads[0] == 392840
 
     def test_missing_relation_raises_only_when_reached(self):
         s = RelStructure(make_path(2), {"near": [(0, 1)]})

@@ -652,6 +652,19 @@ class TestObstructions:
         assert repr(minimal_obstructions(1, 2, 6)) == OBSTRUCTION_REPRS[1, 2, 6]
         assert len(calls) == 499
 
+    def test_classes_with_a_non_member_parent_are_not_decided(self, monkeypatch):
+        # deciding every class took 208 calls
+        calls = []
+        decide = solver._decide
+
+        def counting(g, *args):
+            calls.append(g.n)
+            return decide(g, *args)
+
+        monkeypatch.setattr(solver, "_decide", counting)
+        assert repr(minimal_obstructions(1, 2, 6)) == OBSTRUCTION_REPRS[1, 2, 6]
+        assert len(calls) == 76
+
     def test_bad_depth_or_colour_count_is_refused(self):
         for args in ((-1, 1, 3), (1, 0, 3)):
             with pytest.raises(DomainError, match="need d >= 0 and m >= 1"):
