@@ -85,12 +85,17 @@ def tree_depth(g, cap=DEFAULT_TD_CAP):
     Vertex subsets are bitmasks.  `at_most(mask, k)` decides td(mask) <= k:
     a disconnected subset needs every component to pass at k, a connected
     one some vertex whose deletion passes at k - 1, and a subset of at most
-    k vertices passes at once.  Each decision is stored as a bound, an upper
-    one when it passes and a lower one when it fails, so a subset is never
-    decided twice at the same k.  The exact value searches downward from
-    the best known upper bound (or the vertex count) and stops at the floor
-    max(known lower bound, degeneracy + 1), which holds because treewidth is
-    at least the degeneracy and tree-depth exceeds treewidth.
+    k vertices passes at once.  At k <= 2 the rows answer directly, with no
+    components and no recursion: td <= 1 iff no edge lies inside the subset,
+    td <= 2 iff each edge has an end of degree 1, i.e. a star forest.  Each
+    decision is stored as a bound, an upper one when it passes and a lower
+    one when it fails, so a subset is never decided twice at the same k.
+    Every decision is the truth about td <= k however it is reached, so the
+    closed forms change neither the value nor the witness below.  The exact
+    value searches downward from the best known upper bound (or the vertex
+    count) and stops at the floor max(known lower bound, degeneracy + 1),
+    which holds because treewidth is at least the degeneracy and tree-depth
+    exceeds treewidth.
 
     The witness roots each component at its first vertex, in ascending
     order, whose deletion lowers the tree-depth; since td(G - v) is td(G)
@@ -113,6 +118,25 @@ def tree_depth(g, cap=DEFAULT_TD_CAP):
             mask &= ~(1 << v)
         return best
 
+    row_of = {1 << v: row for v, row in enumerate(adj)}  # keyed by bit
+
+    def star_forest(mask, k):
+        """td(mask) <= k for k in (1, 2): no edge in mask at k = 1, and at
+        k = 2 no edge in mask between two vertices of degree 2 or more."""
+        hubs = 0  # the vertices met so far with two or more neighbours
+        rest = mask
+        while rest:
+            b = rest & -rest
+            row = row_of[b] & mask
+            if row & (row - 1):
+                if k == 1 or row & hubs:
+                    return False
+                hubs |= b
+            elif row and k == 1:
+                return False
+            rest ^= b
+        return True
+
     lower = {}  # mask -> a proven lower bound on its tree-depth
     upper = {}  # mask -> a proven upper bound
 
@@ -122,14 +146,14 @@ def tree_depth(g, cap=DEFAULT_TD_CAP):
             return True
         if lower.get(mask, 1) > k:
             return False
-        comps = comps or mask_components(adj, mask)
-        ok = False
-        if len(comps) > 1:
+        if k <= 2:
+            ok = star_forest(mask, k)
+        elif len(comps := comps or mask_components(adj, mask)) > 1:
             for c in comps:
                 ok = at_most(c, k, [c])
                 if not ok:
                     break
-        elif k > 1:
+        else:
             rest = mask
             while rest:
                 v = rest & -rest

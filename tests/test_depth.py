@@ -3,9 +3,11 @@
 import hashlib
 import itertools
 import math
+import random
 
 import pytest
 
+import shrubkit.depth
 from shrubkit import (
     DomainError,
     EliminationForest,
@@ -72,6 +74,20 @@ class TestEliminationForest:
             validate_td(make_path(2), good)
 
 
+def _is_star_forest(g):
+    """Every component is a single vertex or a star K1,r, checked on the
+    component lists: a component of s vertices is a star iff it has s - 1
+    edges and a vertex joined to all the others."""
+    for comp in components(g):
+        comp = set(comp)
+        edges = [(u, v) for u, v in g.edges if u in comp]
+        centres = [c for c in comp
+                   if all(g.has_edge(c, w) for w in comp if w != c)]
+        if len(comp) > 1 and (len(edges) != len(comp) - 1 or not centres):
+            return False
+    return True
+
+
 class TestTreeDepth:
     def test_known_families(self):
         for n in range(1, 7):
@@ -88,12 +104,16 @@ class TestTreeDepth:
             assert tree_depth(g)[0] == math.ceil(math.log2(n + 2))
 
     def test_matches_brute_force(self):
-        for n in range(1, 7):
+        # the 1,044 graphs on 7 vertices included; td <= 2 and td <= 1 are
+        # closed forms in tree_depth, checked here against the components
+        for n in range(1, 8):
             for g in enumerate_graphs(n):
                 val, forest = tree_depth(g)
                 assert val == brute_force_tree_depth(g)
                 assert validate_td(g, forest)
                 assert forest.height + 1 == val
+                assert (val <= 2) == _is_star_forest(g)
+                assert (val <= 1) == (not g.edges)
 
     def test_longest_path_sandwich(self):
         for n in range(1, 7):
@@ -114,6 +134,29 @@ class TestTreeDepth:
         with pytest.raises(ResourceLimitError):
             tree_depth(make_clique(5), cap=4)
         assert tree_depth(make_clique(5), cap=5)[0] == 5
+
+    def test_mask_components_calls_are_pinned(self, monkeypatch):
+        # the cli-sweep tree-depth base graph: G(16, 0.3) drawn as perfbench draws it
+        rng = random.Random("base:td")
+        n = 16
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        g = Graph(n, edges)
+        calls = []
+        real = shrubkit.depth.mask_components
+
+        def counted(adj, mask):
+            calls.append(mask)
+            return real(adj, mask)
+
+        monkeypatch.setattr(shrubkit.depth, "mask_components", counted)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert tree_depth(g)[0] == 7
+            counts.append(len(calls))
+        # 14,856 calls before the closed forms, when every star forest recursed
+        assert counts == [1601, 1601]
+        assert counts[0] < 14856 / 5
 
 
 # SHA-256 of the (value, parent) dumps below, taken while tree_depth still
