@@ -25,13 +25,15 @@ class Graph:
 
     Edges are stored as a sorted tuple of (u, v) pairs with u < v, labels as
     a dict mapping a vertex to a frozenset of label names (vertices without
-    labels are absent from the dict).
+    labels are absent from the dict).  The adjacency is stored once, as one
+    int row per vertex built at construction: bit v of `_rows[u]` is set iff
+    uv is an edge.  The rows take no part in equality, hashing or text.
     """
 
     n: int
     edges: tuple = ()
     labels: dict = None
-    _adj: tuple = field(init=False, compare=False)
+    _rows: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
         n, edges, labels = self.n, self.edges, self.labels
@@ -54,22 +56,25 @@ class Graph:
                 if names:
                     label_map[v] = names
         edges = tuple(sorted(edge_set))
-        adj = [set() for _ in range(n)]
+        rows = [0] * n
         for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "labels", label_map)
-        object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
+        object.__setattr__(self, "_rows", tuple(rows))
 
     def has_edge(self, u, v):
-        return v in self._adj[u]
+        try:
+            return self._rows[u] >> v & 1 == 1
+        except ValueError:  # a negative shift count: v < 0 is no vertex
+            return False
 
     def neighbors(self, v):
-        return self._adj[v]
+        return frozenset(_bits(self._rows[v]))
 
     def degree(self, v):
-        return len(self._adj[v])
+        return self._rows[v].bit_count()
 
     def vertex_labels(self, v):
         return self.labels.get(v, frozenset())
@@ -128,12 +133,18 @@ def relabel_graph(g, perm):
 
 def adjacency_rows(g):
     """Adjacency as one int per vertex: bit v of rows[u] is set iff uv is an
-    edge."""
-    rows = [0] * g.n
-    for u, v in g.edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return rows
+    edge.  This is the graph's own tuple of rows, built at construction."""
+    return g._rows
+
+
+def _bits(mask):
+    """The vertices whose bits are set in mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def mask_components(rows, mask):
@@ -158,27 +169,11 @@ def mask_components(rows, mask):
 
 def components(g):
     """Connected components as sorted vertex lists, ordered by minimum vertex."""
-    seen = [False] * g.n
-    out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        out.append(sorted(comp))
-    return out
+    return [_bits(c) for c in mask_components(g._rows, (1 << g.n) - 1)]
 
 
 def _are_twins(g, u, v):
-    return (g.neighbors(u) - {v}) == (g.neighbors(v) - {u})
+    return not (g._rows[u] ^ g._rows[v]) & ~(1 << u | 1 << v)
 
 
 def twin_partition(g):
@@ -234,8 +229,8 @@ def canonical_form(g):
     unplaced vertices are interchangeable, so only the first is explored.
     """
     n = g.n
-    nbrs = g._adj
     rows = adjacency_rows(g)
+    nbrs = [_bits(row) for row in rows]
     init_keys = [len(near) for near in nbrs]
     names = None
     if g.labels:
@@ -344,34 +339,26 @@ def is_induced_subgraph(h, g, embedding=False):
     mapping is None when no embedding exists.
     """
     order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
-    assign = {}
-    used = [False] * g.n
-
-    def extend(idx):
-        if idx == len(order):
-            return True
-        a = order[idx]
-        for b in range(g.n):
-            if used[b]:
-                continue
-            ok = True
-            for a2, b2 in assign.items():
-                if h.has_edge(a, a2) != g.has_edge(b, b2):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign[a] = b
-            used[b] = True
-            if extend(idx + 1):
-                return True
-            del assign[a]
-            used[b] = False
-        return False
-
-    found = extend(0)
+    image = []  # image[i] is the vertex of g that order[i] is mapped to
+    b = 0  # the next vertex of g to try for order[len(image)]
+    # depth-first on an explicit stack, so h may have more vertices than the
+    # interpreter's recursion limit allows frames
+    while len(image) < len(order):
+        a = order[len(image)]
+        while b < g.n and (b in image or any(
+                h.has_edge(a, a2) != g.has_edge(b, b2)
+                for a2, b2 in zip(order, image))):
+            b += 1
+        if b < g.n:
+            image.append(b)
+            b = 0
+        elif image:
+            b = image.pop() + 1
+        else:
+            break
+    found = len(image) == len(order)
     if embedding:
-        return found, dict(sorted(assign.items())) if found else None
+        return found, dict(sorted(zip(order, image))) if found else None
     return found
 
 

@@ -31,7 +31,7 @@ from shrubkit import (
     relabel_graph,
     twin_partition,
 )
-from shrubkit.graph import MAX_TEXT_VERTICES
+from shrubkit.graph import MAX_TEXT_VERTICES, adjacency_rows
 
 from .helpers import random_graph, random_labelled_graph, random_seeded
 
@@ -282,6 +282,70 @@ def test_is_induced_subgraph_matches_brute_force():
             for u in range(h.n):
                 for v in range(u + 1, h.n):
                     assert h.has_edge(u, v) == g.has_edge(emb[u], emb[v])
+
+
+def test_is_induced_subgraph_past_the_recursion_limit():
+    # one search level per vertex of h, more levels than the interpreter's
+    # default recursion limit of 1,000 frames
+    n = 1100
+    assert is_induced_subgraph(Graph(n), Graph(n))
+    ok, emb = is_induced_subgraph(Graph(n), Graph(n), embedding=True)
+    assert ok and emb == {v: v for v in range(n)}
+
+
+def _adjacency_corpus():
+    """Every graph on 0..6 vertices under a seeded relabelling, then 400
+    seeded labelled random graphs on 1..12 vertices."""
+    rng = random_seeded(17)
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield relabel_graph(g, perm)
+    for _ in range(400):
+        yield random_labelled_graph(rng, rng.randint(1, 12))
+
+
+def test_adjacency_reads_agree_with_the_edge_list():
+    """Every adjacency read of a Graph, recomputed in plain Python from its
+    edge list."""
+    for g in _adjacency_corpus():
+        n = g.n
+        near = [set() for _ in range(n)]
+        for u, v in g.edges:
+            near[u].add(v)
+            near[v].add(u)
+        rows = adjacency_rows(g)
+        assert rows is adjacency_rows(g)  # stored once, not rebuilt
+        assert len(rows) == n
+        for u in range(n):
+            for v in range(-2, n + 2):
+                assert g.has_edge(u, v) is (v in near[u])
+            assert g.degree(u) == len(near[u])
+            assert g.neighbors(u) == near[u]
+            assert {v for v in range(n) if rows[u] >> v & 1} == near[u]
+            assert rows[u] >> n == 0
+        seen = set()
+        comps = []
+        for s in range(n):
+            if s not in seen:
+                comp, todo = {s}, [s]
+                while todo:
+                    for w in near[todo.pop()] - comp:
+                        comp.add(w)
+                        todo.append(w)
+                seen |= comp
+                comps.append(sorted(comp))
+        assert components(g) == comps
+        classes = []
+        for v in range(n):
+            for cls in classes:
+                if near[cls[0]] - {v} == near[v] - {cls[0]}:
+                    cls.append(v)
+                    break
+            else:
+                classes.append([v])
+        assert twin_partition(g) == classes
 
 
 def test_twin_partition_and_nd():
