@@ -4,8 +4,8 @@ The text format is line based: the first line holds the vertex count, every
 following `u v` line one edge with u < v, and optional trailing lines
 `label v NAME` attach a label to a vertex.  Writers emit edges and labels
 sorted, so a written file re-reads and re-writes to identical bytes.  The
-reader refuses a vertex count above MAX_TEXT_VERTICES before it allocates
-anything for the vertices.
+reader refuses a vertex count above MAX_TEXT_VERTICES, and edges whose rows
+would take more than _MAX_TEXT_ROW_BITS bits, before it allocates either.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .errors import DomainError, ValidationError
 from .values import value_class
 
 MAX_TEXT_VERTICES = 100_000
+_MAX_TEXT_ROW_BITS = 1 << 29  # 64 MiB
 
 
 @value_class
@@ -65,10 +66,7 @@ class Graph:
         object.__setattr__(self, "_rows", tuple(rows))
 
     def has_edge(self, u, v):
-        try:
-            return self._rows[u] >> v & 1 == 1
-        except ValueError:  # a negative shift count: v < 0 is no vertex
-            return False
+        return v >= 0 and self._rows[u] >> v & 1 == 1
 
     def neighbors(self, v):
         return frozenset(_bits(self._rows[v]))
@@ -168,7 +166,8 @@ def mask_components(rows, mask):
 
 
 def components(g):
-    """Connected components as sorted vertex lists, ordered by minimum vertex."""
+    """Connected components as sorted vertex lists, ordered by minimum vertex.
+    Each step works on n-bit masks: O(n^2 / word) time, for small graphs."""
     return [_bits(c) for c in mask_components(g._rows, (1 << g.n) - 1)]
 
 
@@ -340,19 +339,22 @@ def is_induced_subgraph(h, g, embedding=False):
     """
     order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
     image = []  # image[i] is the vertex of g that order[i] is mapped to
+    used = [False] * g.n  # used[b]: b is in image
     b = 0  # the next vertex of g to try for order[len(image)]
     # depth-first on an explicit stack, so h may have more vertices than the
     # interpreter's recursion limit allows frames
     while len(image) < len(order):
         a = order[len(image)]
-        while b < g.n and (b in image or any(
+        while b < g.n and (used[b] or any(
                 h.has_edge(a, a2) != g.has_edge(b, b2)
                 for a2, b2 in zip(order, image))):
             b += 1
         if b < g.n:
             image.append(b)
+            used[b] = True
             b = 0
         elif image:
+            used[image[-1]] = False
             b = image.pop() + 1
         else:
             break
@@ -407,4 +409,13 @@ def graph_from_text(text):
             if not u < v:
                 raise ValidationError(f"edge line must have u < v: {ln!r}")
             edges.append((u, v))
+    # a row is as wide as its vertex's highest neighbour: O(n^2) bits at worst
+    width = [0] * n
+    for u, v in edges:
+        if 0 <= u and v < n:
+            width[u] = max(width[u], v + 1)
+            width[v] = max(width[v], u + 1)
+    if (bits := sum(width)) > _MAX_TEXT_ROW_BITS:
+        raise ValidationError(f"the adjacency rows would take {bits} bits, "
+                              f"above the reader's bound of {_MAX_TEXT_ROW_BITS}")
     return Graph(n, edges, labels)

@@ -108,6 +108,38 @@ def test_huge_vertex_count_is_refused_before_allocation(tmp_path):
     assert done.stderr.startswith("error: ") and "internal error" not in done.stderr
 
 
+ROW_READ = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+from shrubkit.cli import main
+sys.exit(main(["solve", "nd", "--graph", sys.argv[1]]))
+"""
+
+
+def test_wide_rows_are_refused_before_they_are_built(tmp_path):
+    # a star centred on the last vertex has n - 1 edges, yet each of its
+    # n rows reaches bit n - 1: about 10^10 bits at the vertex bound
+    pytest.importorskip("resource")
+    n = MAX_TEXT_VERTICES
+    path = tmp_path / "star.g"
+    path.write_text(f"{n}\n" + "".join(f"{u} {n - 1}\n" for u in range(n - 1)),
+                    encoding="utf-8")
+    src = str(Path(shrubkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", ROW_READ, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: the adjacency rows would take")
+    assert "internal error" not in done.stderr
+
+
+def test_narrow_rows_are_read_at_the_vertex_bound():
+    n = MAX_TEXT_VERTICES
+    star = "".join(f"0 {v}\n" for v in range(1, n))
+    g = graph_from_text(f"{n}\n{star}")
+    assert g.degree(0) == n - 1 and g.degree(n - 1) == 1
+
+
 def test_vertex_count_bound():
     assert graph_from_text(f"{MAX_TEXT_VERTICES}\n0 1\n").n == MAX_TEXT_VERTICES
     with pytest.raises(ValidationError, match="above the reader's bound"):

@@ -1,8 +1,10 @@
 """No function of the graph, tree and model layers calls itself by name.
 
-Every walk of those layers runs on an explicit stack, so a graph or tree
-deeper than the interpreter's recursion limit of 1,000 frames gets an
-answer or a ShrubError, never a RecursionError.  Two modules are left out:
+A self-call is a call of the function's own name, bare or on `self` or
+`cls`; mutual recursion is not looked for.  Every walk of those layers runs
+on an explicit stack, so a graph or tree deeper than the interpreter's
+recursion limit of 1,000 frames gets an answer or a ShrubError, never a
+RecursionError.  Two modules are left out:
 
 - `depth`: `tree_depth`'s `at_most` and `build` recurse at most once per
   vertex, so no deeper than the tree-depth cap (16 vertices by default).
@@ -22,21 +24,32 @@ import shrubkit
 MODULES = ["graph", "rooted_tree", "tree_model", "sc_model", "lincw"]
 
 
+def _calls_itself(func):
+    """True iff func calls its own name bare, or on `self` or `cls`."""
+    for call in ast.walk(func):
+        if not isinstance(call, ast.Call):
+            continue
+        f = call.func
+        if isinstance(f, ast.Name) and f.id == func.name:
+            return True
+        if (isinstance(f, ast.Attribute) and f.attr == func.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("self", "cls")):
+            return True
+    return False
+
+
 def _self_calls(tree):
     """The qualified names of the functions in tree that call themselves by
-    name, as a bare name or as an attribute."""
+    name, as a bare name or as a method of `self` or `cls`.  Mutual
+    recursion is not detected."""
     found = []
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = prefix + child.name
-                if any(
-                    isinstance(call, ast.Call)
-                    and (getattr(call.func, "id", None) == child.name
-                         or getattr(call.func, "attr", None) == child.name)
-                    for call in ast.walk(child)
-                ):
+                if _calls_itself(child):
                     found.append(name)
                 visit(child, name + ".")
             elif isinstance(child, ast.ClassDef):
@@ -63,5 +76,10 @@ def test_the_guard_sees_a_nested_self_call():
         "class T:\n"
         "    def walk(self):\n"
         "        return self.walk()\n"
+        "    def write(self, text):\n"
+        "        return self.out.write(text)\n"
+        "    @classmethod\n"
+        "    def fold(cls, tree):\n"
+        "        return tree.fold() + cls.fold(tree)\n"
     )
-    assert _self_calls(tree) == ["outer.extend", "T.walk"]
+    assert _self_calls(tree) == ["outer.extend", "T.walk", "T.fold"]
