@@ -10,14 +10,19 @@ Tree shapes of a fixed depth are chains of nested partitions of the vertex
 set, one partition per internal level.  The tree-model solvers walk these
 chains depth first, one block partition at a time, over a single meet-level
 matrix in which a pair stays open (None) until some partition fixes it.
-After each choice the coloring search runs on the fixed pairs alone: it
-colors vertices with first-occurrence symmetry breaking and fails as soon as
-two pairs force one (color, color, level) class both ways.  Any completion
-of the chain only adds pairs, so a failure prunes every completion, and the
-first complete chain admitting a coloring is the first one an unpruned
-enumeration would find.  The witness is assembled from the chain and the
-coloring in one pass and signed by infer_signature, which reads the adjacency
-of every leaf pair and so also checks the witness against the graph.
+Each block's partition is built one vertex at a time, and after each
+placement the partial chain is tested: the coloring search colors vertices
+with first-occurrence symmetry breaking and fails as soon as two fixed pairs
+force one (color, color, level) class both ways.  Any completion of a
+partial chain only fixes more pairs, so a failure cuts every completion, and
+the first complete chain admitting a coloring is the first one an unpruned
+enumeration would find.  The search returns the least consistent coloring,
+and more fixed pairs only remove consistent colorings, so a coloring that
+satisfies the pairs a placement fixes is still the least one: it is kept,
+and the search runs again only on a conflict.  The witness is assembled from
+the chain and the coloring in one pass and signed by infer_signature, which
+reads the adjacency of every leaf pair and so also checks the witness
+against the graph.
 """
 
 from __future__ import annotations
@@ -50,69 +55,54 @@ def _admit(g, cap, what):
         raise DomainError("the empty graph has no model")
 
 
-def _iter_partitions(verts, max_block=None):
-    """Partitions of a vertex tuple; blocks ordered by first element."""
-    if not verts:
-        yield []
-        return
-    first, rest = verts[0], verts[1:]
-
-    def extend(blocks, remaining):
-        if not remaining:
-            yield [tuple(b) for b in blocks]
-            return
-        v, tail = remaining[0], remaining[1:]
-        for b in blocks:
-            if max_block is None or len(b) < max_block:
-                b.append(v)
-                yield from extend(blocks, tail)
-                b.pop()
-        blocks.append([v])
-        yield from extend(blocks, tail)
-        blocks.pop()
-
-    yield from extend([[first]], rest)
-
-
 def _search_coloring(g, m, depth, meet):
     """First-occurrence-canonical coloring consistent with some signature,
-    or None.  Pairs whose meet level is None are open and constrain nothing.
-    A tri-state class map grows as vertices are colored and rolls back on
-    backtrack."""
+    as (colors, classes), or None.  Pairs whose meet level is None are open
+    and constrain nothing.  The first such coloring is the least in
+    lexicographic order, found by a depth-first search on an explicit stack:
+    each vertex takes a color used before it or the least unused one, and
+    the tri-state class map, (color, color, depth - level) -> edge, grows as
+    vertices are colored and rolls back on backtrack."""
     n = g.n
     classes = {}
     colors = [0] * n
-
-    def place(t, used):
-        if t == n:
-            return True
-        for c in range(1, min(used + 1, m) + 1):
-            added = []
-            ok = True
+    added = [[] for _ in range(n)]  # the keys vertex t's color put in classes
+    used = [0] * (n + 1)  # used[t] = max(colors[:t])
+    t = 0
+    while 0 <= t < n:
+        for key in added[t]:
+            del classes[key]
+        added[t] = []
+        c, top = colors[t], min(used[t] + 1, m)
+        while c < top:
+            c += 1
+            new = added[t]
             for s in range(t):
                 level = meet[s][t]
                 if level is None:
                     continue
-                a, b = colors[s], c
-                key = (min(a, b), max(a, b), depth - level)
+                a = colors[s]
+                key = (a, c, depth - level) if a <= c else (c, a, depth - level)
                 want = g.has_edge(s, t)
-                if key in classes:
-                    if classes[key] != want:
-                        ok = False
-                        break
-                else:
+                have = classes.get(key)
+                if have is None:
                     classes[key] = want
-                    added.append(key)
-            if ok:
-                colors[t] = c
-                if place(t + 1, max(used, c)):
-                    return True
-            for key in added:
+                    new.append(key)
+                elif have != want:
+                    break
+            else:
+                break
+            for key in new:
                 del classes[key]
-        colors[t] = 0
-        return False
-
-    return colors if place(0, 0) else None
+            new.clear()
+        else:
+            colors[t] = 0
+            t -= 1
+            continue
+        colors[t] = c
+        used[t + 1] = max(used[t], c)
+        t += 1
+    return (colors, classes) if t == n else None
 
 
 def _build_witness(g, depth, m, chain, colors):
@@ -141,71 +131,116 @@ def _first_hit(g, m, depth, levels, last_max_block):
 
     Blocks are partitioned in the order they appear in the finished chain's
     tree, so a block's own sub-chain is completed before its next sibling's.
-    A partition of a block at level k fixes the pairs it splits at k - 1,
-    and on the last level also the pairs it keeps together.
+    A block's partition is built one vertex at a time: each vertex joins an
+    existing part, in order, or then opens a new one, and on the last level
+    joins no part of last_max_block vertices.  Placing a vertex fixes its
+    pairs with the vertices placed before it: at k - 1 when split, at k when
+    kept together on the last level, and not at all when kept together above
+    it.  A prefix fixes a subset of the pairs each of its completions fixes,
+    so a prefix admitting no coloring has no completion admitting one, and
+    cutting it leaves the first admitted complete partition, and so the
+    chain and the witness, unchanged.
+
+    The coloring is the first (least) consistent one, and fixing pairs only
+    shrinks the set of consistent colorings, so while the current coloring
+    satisfies the pairs a placement fixes it is still the first one.  Only
+    those pairs are checked against its class map, and the coloring search
+    runs again only when one of them conflicts.
     """
     n = g.n
     meet = [[None if levels else 0] * n for _ in range(n)]
-    chain = [[] for _ in range(levels)]
-    pending = [(tuple(range(n)), 1)] if levels else []
-    part_of = [0] * n
-
-    def fix(block, parts, k):
-        # blocks are sorted, so only meet[u][v] with u < v is written, the
-        # half the coloring search reads
-        together = k if k == levels else None
-        for i, part in enumerate(parts):
-            for v in part:
-                part_of[v] = i
-        for i, u in enumerate(block):
-            row, home = meet[u], part_of[u]
-            for v in block[i + 1:]:
-                row[v] = together if part_of[v] == home else k - 1
-
-    def choose(frame):
-        """Fix the frame's next partition that admits a coloring, after
-        undoing the one it fixed before; None once none is left, with the
-        block's pairs open and the block pending again."""
-        block, k, partitions, found, taken = frame
-        last = k == levels
-        if taken:
-            if not last:
-                del pending[-taken:]
-            del chain[k - 1][-taken:]
-        for parts in partitions:
-            fix(block, parts, k)
-            if len(parts) > 1 or (last and len(block) > 1):
-                sub = _search_coloring(g, m, depth, meet)
-            else:
-                sub = found  # no pair fixed: the prefix's coloring stands
-            if sub is not None:
-                chain[k - 1].extend(parts)
-                if not last:
-                    pending.extend((part, k + 1) for part in reversed(parts))
-                frame[4] = len(parts)
-                return sub
-        for i, u in enumerate(block):
-            row = meet[u]
-            for v in block[i + 1:]:
-                row[v] = None
-        pending.append((block, k))
-        return None
-
     found = _search_coloring(g, m, depth, meet)
-    # depth first over the pending blocks on an explicit stack, so that any
-    # depth fits; one frame per block with a fixed partition:
-    # [block, level, partitions left, coloring before, parts taken]
+    if found is None or not levels:
+        return None if found is None else ([], found[0])
+    chain = [[] for _ in range(levels)]
+    pending = []  # blocks still to partition, the next one last
+
+    def open_block(block, k):
+        # a frame: [block, level, parts, part index per placed vertex,
+        # (coloring before, classes it added) per placement after the first]
+        frames.append([block, k, [[block[0]]], [0], []])
+
     frames = []
-    while found is not None and pending:
-        block, k = pending.pop()
-        frames.append([block, k, _iter_partitions(
-            block, last_max_block if k == levels else None), found, 0])
-        found = None
-        while frames and found is None:
-            found = choose(frames[-1])
-            if found is None:
-                frames.pop()
-    return None if found is None else (chain, found)
+    open_block(tuple(range(n)), 1)
+    j = 0  # the next option for the top frame's next vertex
+    while True:
+        block, k, parts, home, saves = frames[-1]
+        i = len(home)
+        if i == len(block):
+            chain[k - 1].extend(map(tuple, parts))
+            if k < levels:
+                pending.extend((tuple(p), k + 1) for p in reversed(parts))
+            if not pending:
+                return chain, found[0]
+            open_block(*pending.pop())
+            j = 0
+            continue
+        v = block[i]
+        together, cap = (k, last_max_block or n) if k == levels else (None, n)
+        while j <= len(parts):
+            if j < len(parts) and len(parts[j]) >= cap:
+                j += 1
+                continue
+            colors, classes = found
+            c = colors[v]
+            added = []
+            kept = True
+            for u, h in zip(block, home):
+                level = together if h == j else k - 1
+                meet[u][v] = level
+                if level is None or not kept:
+                    continue
+                a = colors[u]
+                key = (a, c, depth - level) if a <= c else (c, a, depth - level)
+                want = g.has_edge(u, v)
+                have = classes.get(key)
+                if have is None:
+                    classes[key] = want
+                    added.append(key)
+                elif have != want:
+                    kept = False
+            if kept:
+                saves.append((found, added))
+            else:
+                for key in added:
+                    del classes[key]
+                sub = _search_coloring(g, m, depth, meet)
+                if sub is None:
+                    j += 1
+                    continue
+                saves.append((found, []))
+                found = sub
+            home.append(j)
+            if j < len(parts):
+                parts[j].append(v)
+            else:
+                parts.append([v])
+            j = 0
+            break
+        else:
+            # every option for v failed: undo the placement before it, which
+            # may first take back whole blocks
+            for u in block[:i]:
+                meet[u][v] = None
+            while len(frames[-1][3]) == 1:
+                block, k = frames.pop()[:2]
+                pending.append((block, k))
+                if not frames:
+                    return None
+                block, k, parts = frames[-1][:3]
+                del chain[k - 1][-len(parts):]
+                if k < levels:
+                    del pending[-len(parts):]
+            block, k, parts, home, saves = frames[-1]
+            v = block[len(home) - 1]
+            j = home.pop()
+            parts[j].pop()
+            if not parts[j]:
+                parts.pop()
+            found, added = saves.pop()
+            for key in added:
+                del found[1][key]
+            j += 1
 
 
 def _colorings(n, m):

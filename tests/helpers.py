@@ -5,7 +5,8 @@ computes by cleverer means: straight-line recursions with no pruning, no
 symmetry breaking and no shared code paths.  Tests freeze expected values by
 comparing against these, never against the implementation under test.  The
 exceptions are the unpruned tree-model chain walk, which reuses the solver's
-coloring search and model assembly, the exhaustive SC-tree recursion, which
+model assembly (its partitions and coloring search are copies of the
+solver's earlier recursive ones, kept here), the exhaustive SC-tree recursion, which
 reuses the canonical form and the graph operations, and the deletion loop of
 minimal obstructions, which reuses the enumeration, the canonical form and
 the solver's decider; they exist so that their results can be compared with
@@ -35,9 +36,7 @@ from shrubkit.sc_model import SCTree
 from shrubkit.solver import (
     _build_witness,
     _decide,
-    _iter_partitions,
     _relabel_sc,
-    _search_coloring,
     enumerate_graphs,
 )
 from shrubkit.tree_model import ColoredTree, CopiedTreeModel, TreeModel
@@ -173,6 +172,68 @@ def naive_tm_membership(g, d, m):
     return False
 
 
+def _iter_partitions(verts, max_block=None):
+    """Partitions of a vertex tuple; blocks ordered by first element."""
+    if not verts:
+        yield []
+        return
+    first, rest = verts[0], verts[1:]
+
+    def extend(blocks, remaining):
+        if not remaining:
+            yield [tuple(b) for b in blocks]
+            return
+        v, tail = remaining[0], remaining[1:]
+        for b in blocks:
+            if max_block is None or len(b) < max_block:
+                b.append(v)
+                yield from extend(blocks, tail)
+                b.pop()
+        blocks.append([v])
+        yield from extend(blocks, tail)
+        blocks.pop()
+
+    yield from extend([[first]], rest)
+
+
+def _search_coloring(g, m, depth, meet):
+    """First-occurrence-canonical coloring consistent with some signature,
+    or None, by recursion over the vertices; every pair of the meet matrix
+    has a level.  A tri-state class map grows as vertices are colored and
+    rolls back on backtrack."""
+    n = g.n
+    classes = {}
+    colors = [0] * n
+
+    def place(t, used):
+        if t == n:
+            return True
+        for c in range(1, min(used + 1, m) + 1):
+            added = []
+            ok = True
+            for s in range(t):
+                a, b = colors[s], c
+                key = (min(a, b), max(a, b), depth - meet[s][t])
+                want = g.has_edge(s, t)
+                if key in classes:
+                    if classes[key] != want:
+                        ok = False
+                        break
+                else:
+                    classes[key] = want
+                    added.append(key)
+            if ok:
+                colors[t] = c
+                if place(t + 1, max(used, c)):
+                    return True
+            for key in added:
+                del classes[key]
+        colors[t] = 0
+        return False
+
+    return colors if place(0, 0) else None
+
+
 def _unpruned_chains(verts, levels, last_max_block):
     """Every chain of nested partitions, coarsest first, in the order the
     solver's walk visits them: the sub-chains of later sibling blocks vary
@@ -211,8 +272,8 @@ def _unpruned_meet_matrix(n, chain):
 
 
 def _unpruned_witness(g, m, depth, levels, last_max_block):
-    # only the chain walk differs from the solver; the coloring search on a
-    # complete meet matrix and the model assembly are shared on purpose
+    # the chain walk and the coloring search are this module's own; only the
+    # model assembly is shared with the solver, on purpose
     for chain in _unpruned_chains(tuple(range(g.n)), levels, last_max_block):
         found = _search_coloring(g, m, depth, _unpruned_meet_matrix(g.n, chain))
         if found is not None:

@@ -407,6 +407,13 @@ class TestCapsEnv:
                             "--m", "1"])
         assert code == 2 and "error:" in err
 
+    def test_tm_past_the_recursion_limit(self, tmp_path, monkeypatch):
+        g_file = write(tmp_path / "e1100.g", graph_to_text(Graph(1100)))
+        monkeypatch.setenv("SHRUBKIT_CAPS", "tm=2000")
+        code, out, err = run(["solve", "tm", "--graph", g_file, "--d", "1",
+                              "--m", "1"])
+        assert (code, err) == (0, "") and out.startswith("YES")
+
     def test_mso_cap_override(self, tmp_path, monkeypatch):
         g_file = write(tmp_path / "k3.g", graph_to_text(make_clique(3)))
         f = write(tmp_path / "phi.mso", "true")

@@ -8,10 +8,8 @@ RecursionError.  Two modules are left out:
 
 - `depth`: `tree_depth`'s `at_most` and `build` recurse at most once per
   vertex, so no deeper than the tree-depth cap (16 vertices by default).
-- `solver`: `feasible` recurses as a generator driven by `_drive`, and
-  `_search_coloring.place` and `_iter_partitions.extend` recurse once per
-  vertex, so a tree-model search on 1,100 vertices under a raised cap still
-  raises RecursionError; their explicit-stack forms are left for later.
+- `solver`: `feasible` calls itself by name, but as a generator driven by
+  `_drive` on an explicit stack, so the call stack does not grow with it.
 """
 
 import ast

@@ -360,6 +360,60 @@ class TestDecider:
         assert time.perf_counter() - start < 10.0
 
 
+def _count_searches(monkeypatch):
+    """A one-item list counting the calls of the coloring search."""
+    calls = [0]
+    search = solver._search_coloring
+
+    def counting(*args):
+        calls[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(solver, "_search_coloring", counting)
+    return calls
+
+
+# the witness for G(10) at (4, 3), taken from the walk over complete
+# partitions (1,340,897 coloring searches): tree.parent, the leaf colors by
+# vertex, and the signature
+G10_WITNESS = (
+    [-1, 0, 0, 1, 2, 1, 3, 3, 4, 4, 3, 5, 6, 7, 8, 9, 9, 7, 8, 7, 10, 11],
+    [1, 2, 3, 1, 2, 3, 2, 1, 3, 3],
+    [(1, 1, 2), (1, 1, 4), (1, 2, 2), (1, 2, 4), (1, 3, 1), (1, 3, 4),
+     (2, 1, 2), (2, 1, 4), (2, 2, 4), (2, 3, 2), (2, 3, 3), (3, 1, 1),
+     (3, 1, 4), (3, 2, 2), (3, 2, 3), (3, 3, 2)],
+)
+
+
+class TestWalkWork:
+    """Coloring searches made by the chain walk, which cuts each partial
+    partition that admits no coloring and keeps a coloring while it still
+    fits.  The walk over complete partitions, which searched afresh on each
+    one, is the reference.  Counts, not times."""
+
+    def test_path_on_six_vertices(self, monkeypatch):
+        calls = _count_searches(monkeypatch)
+        assert tm_membership(make_path(5), 4, 2) is not None
+        assert calls[0] == 84 and calls[0] < 390 / 3
+
+    def test_nine_vertices(self, monkeypatch):
+        calls = _count_searches(monkeypatch)
+        assert tm_membership(random_graph(random_seeded(99), 9), 4, 3) is not None
+        assert calls[0] == 5_148 and calls[0] < 78_894 / 10
+
+    def test_ten_vertices_keep_their_witness(self, monkeypatch):
+        g = random_graph(random_seeded(99), 10)
+        calls = _count_searches(monkeypatch)
+        w = tm_membership(g, 4, 3)
+        assert calls[0] == 9_365
+        parent, colors, signature = G10_WITNESS
+        assert list(w.tree.parent) == parent
+        assert sorted(w.leaf_vertex.items()) == [(12 + v, v) for v in range(10)]
+        assert [w.leaf_color[12 + v] for v in range(10)] == colors
+        assert sorted(w.signature) == signature
+        assert verify(w, g)
+
+
 # SHA-256 over _witness_dump of every answer in _digest_calls, taken before
 # the witness assembly was rewritten to sign its tree with infer_signature
 WITNESS_DIGEST = "e6753194255a8b62b7bb1617a0022b0767a427c1f66588bf03e5d2126ac87559"
@@ -424,8 +478,9 @@ def _sc_dump(t):
 
 
 class TestDeepSearches:
-    """The chain walk and the SC recursion run on explicit stacks, so a large
-    depth is answered, not a RecursionError."""
+    """The chain walk, the coloring search and the SC recursion run on
+    explicit stacks, so a large depth or vertex count is answered, not a
+    RecursionError."""
 
     def test_tm_at_depth_1000(self):
         w = tm_membership(make_clique(3), 1000, 1)
@@ -439,6 +494,12 @@ class TestDeepSearches:
         assert w.leaf_vertices == {0, 1}
         assert evaluate_sc(w) == make_clique(2)
         assert evaluate_sc(pad_sc(w, 1010)) == make_clique(2)
+
+    def test_tm_on_1100_vertices(self):
+        g = Graph(1100)
+        for d in (1, 2):
+            w = tm_membership(g, d, 1, cap=2000)
+            assert w is not None and verify(w, g)
 
     def test_depth_300_witnesses_are_unchanged(self):
         # digests taken while both searches still recursed, where d = 300 fit
