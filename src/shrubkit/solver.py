@@ -2,9 +2,9 @@
 
 Whether a tree-model exists is decided colour-first by `_decide`: for a
 fixed coloring and per-level signature every partition is forced, so it
-searches colorings and signatures, not Bell-many chains.  A NO ends there,
-and so does every verdict `minimal_obstructions` needs.  Only a YES walks
-the chains, to find its witness.
+grows colorings vertex by vertex and tries signatures, not Bell-many chains.
+A NO ends there, and so does every verdict `minimal_obstructions` needs.
+Only a YES walks the chains, to find its witness.
 
 Tree shapes of a fixed depth are chains of nested partitions of the vertex
 set, one partition per internal level.  The tree-model solvers walk these
@@ -37,6 +37,7 @@ from .graph import (
     induced_subgraph,
     mask_components,
     relabel_graph,
+    twin_partition,
 )
 from .rooted_tree import RootedTree
 from .sc_model import SCTree, fold_sc
@@ -44,6 +45,13 @@ from .tree_model import CopiedTreeModel, TreeModel, infer_signature
 
 DEFAULT_TM_CAP = 10
 DEFAULT_SC_CAP = 9
+
+
+def _whole(**params):
+    """Refuse a parameter that is not an int, such as 1.5 or None; bools pass."""
+    for name, value in params.items():
+        if not isinstance(value, int):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def _admit(g, cap, what):
@@ -243,26 +251,6 @@ def _first_hit(g, m, depth, levels, last_max_block):
             j += 1
 
 
-def _colorings(n, m):
-    """First-occurrence-canonical colorings of n >= 1 vertices with colors
-    0..m-1: each vertex takes a color used before it or the least unused
-    one.  One list is yielded, changed in place between yields."""
-    colors = [0] * n
-    top = [0] * n  # top[i] = max(colors[:i + 1])
-    while True:
-        yield colors
-        i = n - 1
-        while i > 0 and colors[i] == min(top[i - 1] + 1, m - 1):
-            i -= 1
-        if i == 0:
-            return
-        colors[i] += 1
-        top[i] = max(top[i - 1], colors[i])
-        for j in range(i + 1, n):
-            colors[j] = 0
-            top[j] = top[i]
-
-
 def _drive(gen):
     """Result of a generator that yields generators for its sub-results,
     each sent back when it returns; an explicit stack stands in for the
@@ -283,132 +271,143 @@ def _drive(gen):
 def _decide(g, depth, m, max_block=None):
     """Whether g has a model of this depth with m colors, and with
     max_block, at most max_block leaves below each node of the level above
-    the leaves.
+    the leaves.  A model of depth 0 is one leaf.
 
-    Fix a coloring and, for the pairs meeting at one level, that level's
-    signature f.  Pairs of a block that f gets wrong must share a block one
-    level down, so the finest admissible partition of the level below is the
-    components of these conflicts inside each block.  It dominates every
-    coarser one, because a model restricts to a finer block.  Only a color
-    pair that meets both as an edge and as a non-edge needs a choice of f;
-    for any other pair f agrees with the graph and adds no conflict.  At the
-    leaf level f is read off, so the blocks must hold no such mixed pair.
-    A level that splits nothing can be dropped, so only strictly finer
-    partitions are tried, at most n - 1 levels deep, and a partition that
-    fails at one level fails at every deeper one.  Depth 1 has no partition
-    level and is the pruned coloring search alone; it takes no max_block,
-    since tmc at d = 0 is answered by its vertex count.  A canonical
-    coloring of n vertices uses at most n colors, so m past n decides as
-    m = n.
+    At depth 1 every pair meets at the root, so two vertices of one color
+    are twins; a twin class is a clique or an independent set, joined to
+    each other class completely or not at all, so one color per class
+    works: depth 1 is at most m twin classes (and max_block vertices).
+
+    Deeper, fix a coloring and, for the pairs meeting at one level, that
+    level's signature f.  Pairs of a block that f gets wrong must share a
+    block one level down, so the finest admissible partition of the level
+    below is the components of these conflicts inside each block.  It
+    dominates every coarser one, because a model restricts to a finer
+    block.  Only a color pair that meets both as an edge and as a non-edge
+    needs a choice of f; for any other pair f agrees with the graph and
+    adds no conflict.  At the leaf level f is read off, so the blocks must
+    hold no such mixed pair.  A level that splits nothing can be dropped,
+    so only strictly finer partitions are tried, at most n - 1 levels deep,
+    and a partition that fails at one level fails at every deeper one.
+    The colorings are grown depth first, first-occurrence canonical, and a
+    prefix of 3 or more vertices that fails as the one block is cut: a
+    model restricted to the prefix is one, with no more leaves below any
+    node.  2 vertices hold one pair, never mixed.  m past n decides as
+    m = n, since a canonical coloring of n vertices uses at most n colors.
     """
     n = g.n
     m = min(m, n)
-    if depth == 1:
-        return _search_coloring(g, m, 1, [[0] * n] * n) is not None
+    limit = n if max_block is None else max_block
+    if depth <= 1:
+        return n <= (limit if depth else 1) and len(twin_partition(g)) <= m
     rows = adjacency_rows(g)
     levels = depth - 1
-    limit = n if max_block is None else max_block
     # one bit per unordered color pair
     pair_bit = [[1 << min(a, b) * m + max(a, b) for b in range(m)] for a in range(m)]
+    colors = [-1] * n  # -1 while uncolored
+    cls = [0] * m  # per color, the vertices it colors
 
-    for colors in _colorings(n, m):
-        used = max(colors) + 1
-        cls = [0] * used
-        for u, c in enumerate(colors):
-            cls[c] |= 1 << u
-        failed = {}  # partition -> least level at which it failed
+    def spread(pairs):
+        """Per color a, the vertices of the colors b with (a, b) in pairs."""
+        out = [0] * used
+        for a in range(used):
+            for b in range(used):
+                if pairs & pair_bit[a][b]:
+                    out[a] |= cls[b]
+        return out
 
-        def spread(pairs):
-            """Per color a, the vertices of the colors b with (a, b) in pairs."""
-            out = [0] * used
-            for a in range(used):
-                for b in range(used):
-                    if pairs & pair_bit[a][b]:
-                        out[a] |= cls[b]
-            return out
-
-        def feasible(level, blocks):
-            edge = non = 0  # color pairs meeting as an edge, as a non-edge
-            for block in blocks:
-                rest = block if block & (block - 1) else 0  # a singleton holds no pair
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    u = low.bit_length() - 1
-                    a = colors[u]
-                    near = rows[u] & block
-                    far = block & ~rows[u] & ~low
-                    for b in range(a, used):
-                        if near & cls[b]:
-                            edge |= pair_bit[a][b]
-                        if far & cls[b]:
-                            non |= pair_bit[a][b]
-            mixed = edge & non
-            if not mixed and all(b.bit_count() <= limit for b in blocks):
-                return True
-            if level == levels:
-                return False
-            # u's conflict row is (rows[u] ^ ones[a]) & mix[a] for a = colors[u]:
-            # mix[a] covers the colors b with (a, b) mixed, ones[a] those among
-            # them whose f is an edge; u's own bit may be set, which the
-            # components ignore
-            mix = spread(mixed)
-            choice = mixed
-            while True:
-                ones = spread(choice)
-                conflict = [(r ^ ones[c]) & mix[c] for r, c in zip(rows, colors)]
-                finer = [part for block in blocks
-                         for part in mask_components(conflict, block)]
-                if len(finer) > len(blocks):
-                    key = tuple(sorted(finer))
-                    if failed.get(key, levels + 1) > level + 1:
-                        if (yield feasible(level + 1, finer)):
-                            return True
-                        failed[key] = level + 1
-                if not choice:
-                    return False
-                choice = (choice - 1) & mixed
-
-        if _drive(feasible(0, [(1 << n) - 1])):
+    def feasible(level, blocks):
+        edge = non = 0  # color pairs meeting as an edge, as a non-edge
+        for block in blocks:
+            rest = block if block & (block - 1) else 0  # a singleton holds no pair
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
+                a = colors[u]
+                near = rows[u] & block
+                far = block & ~rows[u] & ~low
+                for b in range(a, used):
+                    if near & cls[b]:
+                        edge |= pair_bit[a][b]
+                    if far & cls[b]:
+                        non |= pair_bit[a][b]
+        mixed = edge & non
+        if not mixed and all(b.bit_count() <= limit for b in blocks):
             return True
-    return False
+        if level == levels:
+            return False
+        # u's conflict row is (rows[u] ^ ones[a]) & mix[a] for a = colors[u]:
+        # mix[a] covers the colors b with (a, b) mixed, ones[a] those among
+        # them whose f is an edge; u's own bit may be set, which the
+        # components ignore, and so are the rows of uncolored vertices
+        mix = spread(mixed)
+        choice = mixed
+        while True:
+            ones = spread(choice)
+            conflict = [(r ^ ones[c]) & mix[c] for r, c in zip(rows, colors)]
+            finer = [part for block in blocks
+                     for part in mask_components(conflict, block)]
+            if len(finer) > len(blocks):
+                key = tuple(sorted(finer))
+                if failed.get(key, levels + 1) > level + 1:
+                    if (yield feasible(level + 1, finer)):
+                        return True
+                    failed[key] = level + 1
+            if not choice:
+                return False
+            choice = (choice - 1) & mixed
+
+    top = [0] * (n + 1)  # top[t] = the colors used on vertices 0..t-1
+    t = 0
+    while 0 <= t < n:
+        c = colors[t]
+        if c >= 0:
+            cls[c] ^= 1 << t
+        if c < min(top[t], m - 1):  # t takes its next color
+            c = colors[t] = c + 1
+            cls[c] |= 1 << t
+            used = top[t + 1] = max(top[t], c + 1)  # the colors the prefix uses
+            failed = {}  # partition -> least level at which it failed
+            if t < 2 or _drive(feasible(0, [(2 << t) - 1])):
+                t += 1
+        else:  # every color of t failed: recolor t - 1
+            colors[t] = -1
+            t -= 1
+    return t == n
 
 
 def tm_membership(g, d, m, cap=DEFAULT_TM_CAP):
     """Least-shape witness model of depth d with m colors, or None.
 
-    `_decide` answers first, so a NO never walks the chains.  For a YES the
+    `_decide` answers first, so a NO never walks the chains, and a YES
+    always finds a chain, since both searches are exact.  For a YES the
     first chain (in nested-partition enumeration order) admitting a coloring
     wins; pruning never skips a chain that admits one, so the witness is the
     one the unpruned enumeration would find.
     """
+    _whole(d=d, m=m, cap=cap)
     if d < 0 or m < 1:
         raise DomainError("need d >= 0 and m >= 1")
     _admit(g, cap, "membership")
-    if d == 0:
-        if g.n != 1:
-            return None
-        return TreeModel(RootedTree([-1]), 0, m, {0: 0}, {0: 1}, set())
-    if d > 1 and not _decide(g, d, m):
+    if not _decide(g, d, m):
         return None
-    hit = _first_hit(g, m, d, d - 1, None)
-    return None if hit is None else _build_witness(g, d, m, *hit)
+    if d == 0:
+        return TreeModel(RootedTree([-1]), 0, m, {0: 0}, {0: 1}, set())
+    return _build_witness(g, d, m, *_first_hit(g, m, d, d - 1, None))
 
 
 def tmc_membership(g, d, m, k, cap=DEFAULT_TM_CAP):
     """Witness for the k-copied class: depth d+1 models, m colors, at most
     k leaves per depth-d node.  Returns a CopiedTreeModel or None."""
+    _whole(d=d, m=m, k=k, cap=cap)
     if d < 0 or m < 1 or k < 1:
         raise DomainError("need d >= 0, m >= 1, k >= 1")
     _admit(g, cap, "membership")
-    if d == 0 and g.n > k:
+    if not _decide(g, d + 1, m, k):
         return None
-    if d > 0 and not _decide(g, d + 1, m, k):
-        return None
-    hit = _first_hit(g, m, d + 1, d, k)
-    if hit is None:
-        return None
-    return CopiedTreeModel(_build_witness(g, d + 1, m, *hit), d, m, k)
+    model = _build_witness(g, d + 1, m, *_first_hit(g, m, d + 1, d, k))
+    return CopiedTreeModel(model, d, m, k)
 
 
 def _relabel_sc(t, mapping):
@@ -444,6 +443,7 @@ def sc_membership(g, depth, cap=DEFAULT_SC_CAP):
     steps of the recursion are generators run by `_drive`, so a large budget
     does not overflow the stack.
     """
+    _whole(depth=depth, cap=cap)
     if depth < 0:
         raise DomainError("depth must be >= 0")
     _admit(g, cap, "sc membership")
@@ -524,6 +524,7 @@ def enumerate_graphs(n):
     layout, so which extension reaches a key first does not change the
     output.
     """
+    _whole(n=n)
     if n < 0:
         raise DomainError("n must be >= 0")
     top = 0
@@ -567,6 +568,7 @@ def minimal_obstructions(d, m, max_n, cap=DEFAULT_TM_CAP):
     non-members need only the deletions of the vertices above least degree
     canonized, to find their classes one level down.
     """
+    _whole(d=d, m=m, max_n=max_n, cap=cap)
     if max_n < 1:
         raise DomainError("max_n must be >= 1")
     if max_n > cap:
@@ -584,11 +586,8 @@ def minimal_obstructions(d, m, max_n, cap=DEFAULT_TM_CAP):
         below = member
         # a tree-model restricts to any subset of its leaves, so a class
         # with a non-member parent is a non-member and is not decided
-        member = [
-            all(below[p] for p in parents)
-            and (h.n == 1 if d == 0 else _decide(h, d, m))
-            for h, parents in zip(graphs, parents_of)
-        ]
+        member = [all(below[p] for p in parents) and _decide(h, d, m)
+                  for h, parents in zip(graphs, parents_of)]
         for h, ok, parents in zip(graphs, member, parents_of):
             if ok or not all(below[p] for p in parents):
                 continue

@@ -27,6 +27,7 @@ from shrubkit import (
     sc_membership,
     tm_membership,
     tmc_membership,
+    twin_partition,
     verify,
     verify_k_copied,
 )
@@ -325,6 +326,12 @@ class TestDecider:
                      for d in (1, 2) for m in (1, 2) for k in (1, 2)
                      if unpruned_tmc_membership(g, d, m, k) is None]
         assert (len(no), len(no_copied)) == (39, 145)
+        flat = [(g, m) for n in range(1, 6) for g in enumerate_graphs(n)
+                for m in (1, 2) if unpruned_tm_membership(g, 1, m) is None]
+        flat_copied = [(g, m, k) for n in range(1, 6) for g in enumerate_graphs(n)
+                       for m in (1, 2) for k in (1, 2)
+                       if unpruned_tmc_membership(g, 0, m, k) is None]
+        assert (len(flat), len(flat_copied)) == (70, 200)
 
         monkeypatch.setattr(solver, "_first_hit", _no_walk)
         assert tm_membership(make_path(8), 3, 1) is None
@@ -332,6 +339,44 @@ class TestDecider:
             assert tm_membership(g, d, m) is None
         for g, d, m, k in no_copied:
             assert tmc_membership(g, d, m, k) is None
+        for g, m in flat:
+            assert tm_membership(g, 1, m) is None
+        for g, m, k in flat_copied:
+            assert tmc_membership(g, 0, m, k) is None
+
+    def test_depth_one_is_neighbourhood_diversity(self):
+        # the walk still runs the coloring search at depth 1, so it is an
+        # independent path, and its least coloring numbers the twin classes
+        # from 1 in first-occurrence order
+        cases = 0
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                twins = twin_partition(g)
+                assert neighbourhood_diversity(g) == len(twins)
+                index = [0] * n
+                for i, members in enumerate(twins, 1):
+                    for v in members:
+                        index[v] = i
+                for m in range(1, 5):
+                    hit = solver._first_hit(g, m, 1, 0, None)
+                    want = len(twins) <= m
+                    assert solver._decide(g, 1, m) == want == (hit is not None), (g, m)
+                    if hit is not None:
+                        assert hit == ([], index), (g, m)
+                    cases += 1
+        assert cases == 5_008
+
+    def test_agrees_with_the_walk_on_seven_and_eight_vertices(self):
+        rng = random_seeded(20)
+        verdicts = []
+        for _ in range(60):
+            g = random_graph(rng, rng.choice((7, 8)))
+            d, m = rng.randint(2, 3), rng.randint(1, 3)
+            max_block = rng.choice((None, 1, 2, 3))
+            got = solver._decide(g, d, m, max_block)
+            assert got == _walk_verdict(g, d, m, max_block), (g, d, m, max_block)
+            verdicts.append(got)
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_colors_past_the_vertex_count(self):
         # a canonical coloring of n vertices uses at most n colors, so a
@@ -360,17 +405,56 @@ class TestDecider:
         assert time.perf_counter() - start < 10.0
 
 
-def _count_searches(monkeypatch):
-    """A one-item list counting the calls of the coloring search."""
+def _count_calls(monkeypatch, name):
+    """A one-item list counting the calls of solver's function name."""
     calls = [0]
-    search = solver._search_coloring
+    func = getattr(solver, name)
 
     def counting(*args):
         calls[0] += 1
-        return search(*args)
+        return func(*args)
 
-    monkeypatch.setattr(solver, "_search_coloring", counting)
+    monkeypatch.setattr(solver, name, counting)
     return calls
+
+
+def _count_searches(monkeypatch):
+    """A one-item list counting the calls of the coloring search."""
+    return _count_calls(monkeypatch, "_search_coloring")
+
+
+class TestDeciderWork:
+    """Prefixes tested by the decider, one `_drive` call each: it grows a
+    coloring vertex by vertex and cuts every prefix that admits no model.
+    The enumerator of complete colorings it replaced tried about 44,000
+    colorings at (2, 4).  Counts, not times."""
+
+    def test_ten_vertex_no_answers(self, monkeypatch):
+        g = random_graph(random_seeded(99), 10)
+        calls = _count_calls(monkeypatch, "_drive")
+        assert not solver._decide(g, 3, 3)
+        assert calls[0] == 498
+        calls[0] = 0
+        assert not solver._decide(g, 2, 4)
+        assert calls[0] == 526
+
+
+class TestParameters:
+    def test_non_integers_are_refused_at_once(self):
+        p3 = make_path(3)
+        for solve in (lambda: tm_membership(p3, 2.5, 1),
+                      lambda: tm_membership(p3, 2, 1.5),
+                      lambda: tm_membership(p3, 2, 1, cap=None),
+                      lambda: tmc_membership(p3, 1, 1, 1.5),
+                      lambda: sc_membership(p3, 1.5),
+                      lambda: enumerate_graphs(2.5),
+                      lambda: minimal_obstructions(1, 2, 2.5)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                solve()
+
+    def test_bools_pass(self):
+        assert tm_membership(make_clique(2), True, True) is not None
+        assert tmc_membership(make_clique(2), False, True, 2) is not None
 
 
 # the witness for G(10) at (4, 3), taken from the walk over complete
