@@ -9,6 +9,7 @@ as JSON ints.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import field
 
 from .errors import DomainError, ValidationError
@@ -182,12 +183,32 @@ def _fits(value, kind):
     return all(type(v) is kind for v in values)
 
 
+MAX_JSON_NESTING = 2_500  # a tree-model of depth h nests 2h + 2 deep, its records 2h + 1
+
+
+def _check_nesting(doc, text, what):
+    """Refuse a document whose containers nest deeper than MAX_JSON_NESTING;
+    its JSON text can do so only with more opening brackets than that."""
+    level = [doc] if text.count("[") + text.count("{") > MAX_JSON_NESTING else []
+    for _ in range(MAX_JSON_NESTING + 1):  # the containers one level deeper
+        if not (level := [v for v in level if isinstance(v, (dict, list, tuple))]):
+            return
+        level = [x for v in level for x in (v.values() if isinstance(v, dict) else v)]
+    raise ValidationError(f"{what} nests deeper than {MAX_JSON_NESTING} levels")
+
+
 def load_json(text, what):
     """json.loads, with malformed or too deeply nested text a ValidationError."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + MAX_JSON_NESTING)  # the decoder recurses per level
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"bad {what} JSON: {exc}") from None
+    finally:
+        sys.setrecursionlimit(limit)
+    _check_nesting(doc, text, f"{what} JSON")
+    return doc
 
 
 def _json_scalar(value):
@@ -202,13 +223,10 @@ def _json_scalar(value):
 
 def dump_json(doc):
     """json.dumps(doc, indent=2, sort_keys=True), written over an explicit
-    stack so that any nesting fits."""
-    text = _json_scalar(doc)
-    if text is not None:
-        return text
-    out = []
+    stack; a document nested deeper than MAX_JSON_NESTING is refused."""
+    text, out = _json_scalar(doc), []
     # (value, indent) to open, or (text, None) to copy
-    stack = [(doc, "")]
+    stack = [(doc, "") if text is None else (text, None)]
     while stack:
         value, pad = stack.pop()
         if pad is None:
@@ -231,7 +249,9 @@ def dump_json(doc):
                 stack.append((head, None))
             else:
                 stack.append((head + text, None))
-    return "".join(out)
+    text = "".join(out)
+    _check_nesting(doc, text, "the JSON document")
+    return text
 
 
 def check_record(record, shapes, what):

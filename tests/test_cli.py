@@ -263,6 +263,42 @@ class TestVerify:
         assert code == 1 and out.splitlines()[0] == "INVALID"
 
 
+class TestDeepWitnessFiles:
+    """A witness file the CLI writes, it reads back; one nested past
+    MAX_JSON_NESTING (2h + 2 levels for a tree-model of depth h, 2h + 1 for
+    an SC-tree of height h) is refused by the writer."""
+
+    @pytest.mark.parametrize("height", [400, 600, 1249])
+    def test_tm_and_sc_witnesses_round_trip(self, tmp_path, height):
+        k3 = write(tmp_path / "k3.g", graph_to_text(make_clique(3)))
+        k2 = write(tmp_path / "k2.g", graph_to_text(make_clique(2)))
+        tm, sc = str(tmp_path / "k3.tm"), str(tmp_path / "k2.sc")
+        assert run(["solve", "tm", "--graph", k3, "--d", str(height), "--m", "1",
+                    "-o", tm])[0] == 0
+        assert run(["verify", "tm", "--model", tm, "--graph", k3]) == (0, "OK\n", "")
+        assert run(["solve", "sc", "--graph", k2, "--n", str(height), "-o", sc])[0] == 0
+        assert run(["verify", "sc", "--sc", sc, "--graph", k2]) == (0, "OK\n", "")
+
+    def test_writer_refuses_past_the_bound(self, tmp_path):
+        k3 = write(tmp_path / "k3.g", graph_to_text(make_clique(3)))
+        k2 = write(tmp_path / "k2.g", graph_to_text(make_clique(2)))
+        for argv in (["solve", "tm", "--graph", k3, "--d", "1250", "--m", "1"],
+                     ["solve", "sc", "--graph", k2, "--n", "1250"]):
+            out = tmp_path / "w.json"
+            code, _, err = run(argv + ["-o", str(out)])
+            assert code == 2 and "nests deeper than 2500 levels" in err
+            assert not out.exists()
+
+    def test_reader_refuses_past_the_bound(self, tmp_path):
+        k2 = write(tmp_path / "k2.g", graph_to_text(make_clique(2)))
+        record = '{"vertex": 0}'
+        for _ in range(1250):
+            record = '{"X": [], "children": [%s]}' % record
+        sc = write(tmp_path / "deep.sc", record)
+        code, _, err = run(["verify", "sc", "--sc", sc, "--graph", k2])
+        assert code == 2 and "SC-tree JSON nests deeper than 2500 levels" in err
+
+
 class TestMso:
     def test_parse(self, tmp_path):
         f = write(tmp_path / "phi.mso", "ex1 x. ex1 y. edge(x, y)")

@@ -722,6 +722,18 @@ def _count_canonical_forms(monkeypatch):
     return calls
 
 
+def _count_decides(monkeypatch):
+    calls = []
+    decide = solver._decide
+
+    def counting(g, *args):
+        calls.append(g.n)
+        return decide(g, *args)
+
+    monkeypatch.setattr(solver, "_decide", counting)
+    return calls
+
+
 class TestScClosedForms:
     """Heights 0 and 1 decided in closed form, against the complement-set
     loop run at every height."""
@@ -789,26 +801,37 @@ class TestObstructions:
             want = deletion_minimal_obstructions(*args)
             assert minimal_obstructions(*args) == want, args
 
-    def test_cold_run_canonizes_each_class_once(self, monkeypatch):
-        # canonizing every level graph and every deletion took 892 calls
+    def test_cold_run_canonizes_only_extensions_of_members(self, monkeypatch):
+        # enumerating every graph up to 6 vertices took 499 canonical forms
         calls = _count_canonical_forms(monkeypatch)
         monkeypatch.setattr(solver, "_GRAPH_LISTS", {0: (Graph(0),)})
-        monkeypatch.setattr(solver, "_CLASSES", {})
         assert repr(minimal_obstructions(1, 2, 6)) == OBSTRUCTION_REPRS[1, 2, 6]
-        assert len(calls) == 499
+        assert len(calls) == 140
 
-    def test_classes_with_a_non_member_parent_are_not_decided(self, monkeypatch):
-        # deciding every class took 208 calls
-        calls = []
-        decide = solver._decide
-
-        def counting(g, *args):
-            calls.append(g.n)
-            return decide(g, *args)
-
-        monkeypatch.setattr(solver, "_decide", counting)
+    def test_decides_each_member_class_and_obstruction_once(self, monkeypatch):
+        # 1 + 2 + 4 + 8 + 10 + 14 classes of neighbourhood diversity <= 2 on
+        # 1-6 vertices, and 5 obstructions; the enumeration decided 76
+        calls = _count_decides(monkeypatch)
         assert repr(minimal_obstructions(1, 2, 6)) == OBSTRUCTION_REPRS[1, 2, 6]
-        assert len(calls) == 76
+        assert len(calls) == 39 + 5
+
+    def test_no_more_work_where_every_smaller_graph_is_a_member(self, monkeypatch):
+        # every graph on 4 vertices is in TM(2, 2), so level 5 is every graph
+        # on 5 vertices and none of them can be skipped
+        forms = _count_canonical_forms(monkeypatch)
+        decides = _count_decides(monkeypatch)
+        monkeypatch.setattr(solver, "_GRAPH_LISTS", {0: (Graph(0),)})
+        assert repr(minimal_obstructions(2, 2, 5)) == OBSTRUCTION_REPRS[2, 2, 5]
+        assert len(forms) <= 94 and len(decides) <= 52
+
+    def test_agrees_with_the_deletion_loop_up_to_seven_vertices(self, monkeypatch):
+        monkeypatch.setattr(solver, "_GRAPH_LISTS", {0: (Graph(0),)})
+        grid = [(d, m) for d in range(4) for m in range(1, 4)]
+        got = {(d, m): minimal_obstructions(d, m, 7) for d, m in grid}
+        # the member search neither reads nor fills the enumeration cache
+        assert list(solver._GRAPH_LISTS) == [0]
+        for d, m in grid:
+            assert got[d, m] == deletion_minimal_obstructions(d, m, 7), (d, m)
 
     def test_bad_depth_or_colour_count_is_refused(self):
         for args in ((-1, 1, 3), (1, 0, 3)):
