@@ -265,8 +265,9 @@ def _solve_tm(args, caps, structured):
     if witness is None:
         _verdict(f"NO (verified for all depths <= {args.d})", structured)
         return 1
+    text = tree_model.model_to_text(witness)
     _verdict("YES", structured, depth=witness.depth, colors=witness.colors)
-    _emit(tree_model.model_to_text(witness), args.out)
+    _emit(text, args.out)
 
 
 @_command("solve tmc", _GRAPH, _int("--d"), _int("--m"), _int("--k"), _out())
@@ -276,8 +277,9 @@ def _solve_tmc(args, caps, structured):
     if copied is None:
         _verdict("NO", structured)
         return 1
+    text = tree_model.model_to_text(copied.model)
     _verdict("YES", structured, depth=args.d, colors=args.m, k=args.k)
-    _emit(tree_model.model_to_text(copied.model), args.out)
+    _emit(text, args.out)
 
 
 @_command("solve sc", _GRAPH, _int("--n"), _out("witness SC-tree file"))
@@ -286,8 +288,9 @@ def _solve_sc(args, caps, structured):
     if witness is None:
         _verdict(f"NO (no SC-tree of height <= {args.n})", structured)
         return 1
+    text = sc_model.sc_to_text(witness)
     _verdict("YES", structured, height=witness.height)
-    _emit(sc_model.sc_to_text(witness), args.out)
+    _emit(text, args.out)
 
 
 @_command("solve td", _GRAPH, _out("witness forest file"))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _whole
 from .graph import Graph
 from .rooted_tree import RootedTree
 from .tree_model import TreeModel
@@ -12,12 +12,14 @@ DEFAULT_PATH_MODEL_CAP = 4
 
 def make_path(length):
     """Path with `length` edges on vertices 0..length in order."""
+    _whole(length=length)
     if length < 0:
         raise DomainError("path length must be >= 0")
     return Graph(length + 1, [(i, i + 1) for i in range(length)])
 
 
 def make_clique(n):
+    _whole(n=n)
     if n < 0:
         raise DomainError("clique size must be >= 0")
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
@@ -25,6 +27,7 @@ def make_clique(n):
 
 def make_biclique(a, b):
     """Complete bipartite graph; side A is 0..a-1, side B is a..a+b-1."""
+    _whole(a=a, b=b)
     if a < 0 or b < 0:
         raise DomainError("biclique sides must be >= 0")
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
@@ -32,6 +35,7 @@ def make_biclique(a, b):
 
 def clique_model(n):
     """Depth-1 single-color model of K_n."""
+    _whole(n=n)
     if n < 1:
         raise DomainError("clique model needs n >= 1")
     tree = RootedTree([-1] + [0] * n)
@@ -47,6 +51,7 @@ def clique_model(n):
 
 def biclique_model(a, b):
     """Depth-1 two-color model of K_{a,b}."""
+    _whole(a=a, b=b)
     if a < 1 or b < 1:
         raise DomainError("biclique model needs a, b >= 1")
     tree = RootedTree([-1] + [0] * (a + b))
@@ -119,6 +124,7 @@ def path_model(m, cap=DEFAULT_PATH_MODEL_CAP):
     rule.  Leaf vertex ids follow path order, so realize gives make_path
     exactly.
     """
+    _whole(m=m, cap=cap)
     if m < 1:
         raise DomainError("path_model needs m >= 1")
     if m > cap:

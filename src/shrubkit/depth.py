@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import field
 
-from .errors import DomainError, ResourceLimitError, ValidationError
+from .errors import DomainError, ResourceLimitError, ValidationError, _whole
 from .graph import Graph, adjacency_rows, mask_components
 from .rooted_tree import RootedTree
 from .tree_model import TreeModel, grow_leaf
@@ -102,6 +102,7 @@ def tree_depth(g, cap=DEFAULT_TD_CAP):
     or td(G) - 1 for a connected G, that is the first v passing
     at_most(comp - v, td(comp) - 1).
     """
+    _whole(cap=cap)
     n = g.n
     if n > cap:
         raise ResourceLimitError(f"tree_depth cap is {cap} vertices, got {n}")

@@ -9,6 +9,13 @@ class DomainError(ShrubError):
     """An argument is outside an operation's documented domain."""
 
 
+def _whole(**params):
+    """Refuse a parameter that is not an int, such as 1.5 or None; bools pass."""
+    for name, value in params.items():
+        if not isinstance(value, int):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 class ValidationError(ShrubError):
     """A structure (graph, tree, model, file) is malformed."""
 

@@ -19,15 +19,17 @@ the first complete chain admitting a coloring is the first one an unpruned
 enumeration would find.  The search returns the least consistent coloring,
 and more fixed pairs only remove consistent colorings, so a coloring that
 satisfies the pairs a placement fixes is still the least one: it is kept,
-and the search runs again only on a conflict.  The witness is assembled from
-the chain and the coloring in one pass and signed by infer_signature, which
-reads the adjacency of every leaf pair and so also checks the witness
-against the graph.
+and the search runs again only on a conflict.  Each placement is one call
+of a generator run by `_drive`, which takes the placement back when it
+returns False, so the walk keeps no stack of its own and fits any depth.
+The witness is assembled from the chain and the coloring in one pass and
+signed by infer_signature, which reads the adjacency of every leaf pair and
+so also checks the witness against the graph.
 """
 
 from __future__ import annotations
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _whole
 from .graph import (
     Graph,
     adjacency_rows,
@@ -45,13 +47,6 @@ from .tree_model import CopiedTreeModel, TreeModel, infer_signature
 
 DEFAULT_TM_CAP = 10
 DEFAULT_SC_CAP = 9
-
-
-def _whole(**params):
-    """Refuse a parameter that is not an int, such as 1.5 or None; bools pass."""
-    for name, value in params.items():
-        if not isinstance(value, int):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def _admit(g, cap, what):
@@ -154,6 +149,13 @@ def _first_hit(g, m, depth, levels, last_max_block):
     satisfies the pairs a placement fixes it is still the first one.  Only
     those pairs are checked against its class map, and the coloring search
     runs again only when one of them conflicts.
+
+    The walk is the generator `place`, run by `_drive`.  A call places the
+    block's next vertex in each admitted part in turn, yields the call for
+    the vertex after it, and takes the placement back when that call returns
+    False.  A finished block adds its parts to the chain and, reversed, to a
+    copy of the blocks still pending, and yields the call for the last of
+    them, with its first vertex already placed.
     """
     n = g.n
     meet = [[None if levels else 0] * n for _ in range(n)]
@@ -161,41 +163,39 @@ def _first_hit(g, m, depth, levels, last_max_block):
     if found is None or not levels:
         return None if found is None else ([], found[0])
     chain = [[] for _ in range(levels)]
-    pending = []  # blocks still to partition, the next one last
 
-    def open_block(block, k):
-        # a frame: [block, level, parts, part index per placed vertex,
-        # (coloring before, classes it added) per placement after the first]
-        frames.append([block, k, [[block[0]]], [0], []])
-
-    frames = []
-    open_block(tuple(range(n)), 1)
-    j = 0  # the next option for the top frame's next vertex
-    while True:
-        block, k, parts, home, saves = frames[-1]
-        i = len(home)
+    def place(block, k, parts, pending):
+        # True once the chain is complete, else False with every placement
+        # it made taken back
+        nonlocal found
+        i = sum(map(len, parts))
         if i == len(block):
-            chain[k - 1].extend(map(tuple, parts))
+            chain[k - 1].extend(parts)
             if k < levels:
-                pending.extend((tuple(p), k + 1) for p in reversed(parts))
+                pending = pending + [(p, k + 1) for p in reversed(parts)]
             if not pending:
-                return chain, found[0]
-            open_block(*pending.pop())
-            j = 0
-            continue
+                return True
+            nxt, k_nxt = pending[-1]
+            if (yield place(nxt, k_nxt, [nxt[:1]], pending[:-1])):
+                return True
+            del chain[k - 1][-len(parts):]
+            return False
         v = block[i]
         together, cap = (k, last_max_block or n) if k == levels else (None, n)
-        while j <= len(parts):
-            if j < len(parts) and len(parts[j]) >= cap:
-                j += 1
+        before = found
+        colors, classes = before
+        c = colors[v]
+        for j, part in enumerate(parts + [()]):
+            if len(part) >= cap:
                 continue
-            colors, classes = found
-            c = colors[v]
+            for u in block[:i]:
+                meet[u][v] = k - 1
+            for u in part:
+                meet[u][v] = together
             added = []
             kept = True
-            for u, h in zip(block, home):
-                level = together if h == j else k - 1
-                meet[u][v] = level
+            for u in block[:i]:
+                level = meet[u][v]
                 if level is None or not kept:
                     continue
                 a = colors[u]
@@ -207,48 +207,25 @@ def _first_hit(g, m, depth, levels, last_max_block):
                     added.append(key)
                 elif have != want:
                     kept = False
-            if kept:
-                saves.append((found, added))
-            else:
+            if not kept:
                 for key in added:
                     del classes[key]
+                added = []
                 sub = _search_coloring(g, m, depth, meet)
                 if sub is None:
-                    j += 1
                     continue
-                saves.append((found, []))
                 found = sub
-            home.append(j)
-            if j < len(parts):
-                parts[j].append(v)
-            else:
-                parts.append([v])
-            j = 0
-            break
-        else:
-            # every option for v failed: undo the placement before it, which
-            # may first take back whole blocks
-            for u in block[:i]:
-                meet[u][v] = None
-            while len(frames[-1][3]) == 1:
-                block, k = frames.pop()[:2]
-                pending.append((block, k))
-                if not frames:
-                    return None
-                block, k, parts = frames[-1][:3]
-                del chain[k - 1][-len(parts):]
-                if k < levels:
-                    del pending[-len(parts):]
-            block, k, parts, home, saves = frames[-1]
-            v = block[len(home) - 1]
-            j = home.pop()
-            parts[j].pop()
-            if not parts[j]:
-                parts.pop()
-            found, added = saves.pop()
+            grown = parts[:j] + [(*part, v)] + parts[j + 1:]
+            if (yield place(block, k, grown, pending)):
+                return True
+            found = before
             for key in added:
-                del found[1][key]
-            j += 1
+                del classes[key]
+        for u in block[:i]:
+            meet[u][v] = None
+        return False
+
+    return (chain, found[0]) if _drive(place(tuple(range(n)), 1, [(0,)], [])) else None
 
 
 def _drive(gen):

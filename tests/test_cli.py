@@ -282,12 +282,18 @@ class TestDeepWitnessFiles:
     def test_writer_refuses_past_the_bound(self, tmp_path):
         k3 = write(tmp_path / "k3.g", graph_to_text(make_clique(3)))
         k2 = write(tmp_path / "k2.g", graph_to_text(make_clique(2)))
+        # the witness is serialized before the verdict, so a refusal leaves
+        # stdout empty, in either format
         for argv in (["solve", "tm", "--graph", k3, "--d", "1250", "--m", "1"],
+                     ["solve", "tmc", "--graph", k3, "--d", "1249", "--m", "1",
+                      "--k", "3"],
                      ["solve", "sc", "--graph", k2, "--n", "1250"]):
-            out = tmp_path / "w.json"
-            code, _, err = run(argv + ["-o", str(out)])
-            assert code == 2 and "nests deeper than 2500 levels" in err
-            assert not out.exists()
+            for fmt in ("text", "structured"):
+                out = tmp_path / "w.json"
+                code, stdout, err = run(["--format", fmt, *argv, "-o", str(out)])
+                assert code == 2 and "nests deeper than 2500 levels" in err
+                assert stdout == ""
+                assert not out.exists()
 
     def test_reader_refuses_past_the_bound(self, tmp_path):
         k2 = write(tmp_path / "k2.g", graph_to_text(make_clique(2)))

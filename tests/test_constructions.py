@@ -3,6 +3,7 @@
 import pytest
 
 from shrubkit import (
+    DomainError,
     Graph,
     ResourceLimitError,
     biclique_model,
@@ -33,6 +34,19 @@ class TestGraphFamilies:
         g = make_biclique(2, 3)
         assert g.n == 5
         assert sorted(g.edges) == [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
+
+
+class TestParameters:
+    def test_non_integers_are_refused(self):
+        for build in (lambda: make_path(2.5),
+                      lambda: make_clique(None),
+                      lambda: make_biclique(2, 1.0),
+                      lambda: clique_model("3"),
+                      lambda: biclique_model(None, 1),
+                      lambda: path_model(1.5),
+                      lambda: path_model(2, cap=None)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                build()
 
 
 class TestFlatModels:

@@ -98,6 +98,11 @@ class TestTreeDepth:
         assert tree_depth(Graph(0))[0] == 0
         assert tree_depth(Graph(5))[0] == 1
 
+    def test_a_cap_that_is_not_an_integer_is_refused(self):
+        for cap in (None, 2.5):
+            with pytest.raises(DomainError, match="must be an integer"):
+                tree_depth(make_path(3), cap=cap)
+
     def test_paths_hit_log_formula(self):
         for n in range(0, 15):
             g = make_path(n)

@@ -43,6 +43,7 @@ from .helpers import (
     naive_sc_member_2,
     naive_tm_membership,
     random_graph,
+    random_labelled_graph,
     random_seeded,
     unpruned_tm_membership,
     unpruned_tmc_membership,
@@ -752,6 +753,15 @@ class TestScClosedForms:
         rng = random_seeded(76)
         for _ in range(10):
             _assert_sc_witnesses_agree(random_graph(rng, 6), 2)
+
+    def test_labelled_graphs_get_the_exhaustive_witness(self):
+        # canonical_form respects labels, so the leaves of a witness come in
+        # a label-aware order; component graphs that drop the labels miss it
+        rng = random_seeded(77)
+        for _ in range(300):
+            g = random_labelled_graph(rng, rng.randint(1, 5))
+            for depth in range(4):
+                _assert_sc_witnesses_agree(g, depth)
 
     def test_height_two_at_the_default_cap_is_cheap(self, monkeypatch):
         # not in SC(2); the complement-set loop at height 1 spends 248,067
