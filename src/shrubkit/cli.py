@@ -58,12 +58,19 @@ def _caps_from_env():
             raise ValidationError(
                 f"SHRUBKIT_CAPS value for {name} must be an integer"
             ) from None
+        if caps[name] < 0:
+            raise ValidationError(
+                f"SHRUBKIT_CAPS value for {name} must be at least 0, got {caps[name]}"
+            )
     return caps
 
 
 def _read(path):
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path} is not UTF-8 text") from None
 
 
 def _emit(text, out):
@@ -81,6 +88,16 @@ def _verdict(line, structured, **fields):
         print(line)
         for key in sorted(fields):
             print(f"{key}: {fields[key]}")
+
+
+def _verdict_then(text, out, line, structured, **fields):
+    """The verdict, then `text` on stdout or in the file `out`; the file is
+    written first, so a write that fails leaves stdout empty."""
+    if out is not None:
+        _emit(text, out)
+    _verdict(line, structured, **fields)
+    if out is None:
+        _emit(text, out)
 
 
 def _mso_caps(caps):
@@ -135,27 +152,71 @@ def _command(path, *arguments, **options):
     return register
 
 
+class _Subcommands(argparse._SubParsersAction):
+    """Subcommands whose parsers are built on their first dispatch.
+
+    `register` files a build function under the name, and the name's help
+    line, if any, for the help listing.  Usage lines and invalid-choice
+    messages read only the names, so they print as they would for parsers
+    made by `add_parser`.
+    """
+
+    def register(self, name, build, help=None):
+        self._name_parser_map[name] = build
+        if help is not None:
+            self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        build = self._name_parser_map[name]
+        if not isinstance(build, argparse.ArgumentParser):
+            self._name_parser_map[name] = build(f"{self._prog_prefix} {name}")
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _add_commands(parser, group, dest):
+    """Register the commands of `group` ("" for the top level) on `parser`,
+    in table order; at the top level each group is one command."""
+    commands = parser.add_subparsers(dest=dest, required=True, action=_Subcommands)
+    for path_group, name, arguments, options, handler in _COMMANDS:
+        if path_group == group:
+            options = dict(options)
+            help_text = options.pop("help", None)
+            build = partial(_leaf_parser, arguments, options, handler)
+            commands.register(name, build, help_text)
+        elif not group and path_group not in commands.choices:
+            build = partial(_group_parser, path_group)
+            commands.register(path_group, build, _GROUPS[path_group][1])
+
+
+def _group_parser(group, prog):
+    parser = argparse.ArgumentParser(prog=prog)
+    _add_commands(parser, group, _GROUPS[group][0])
+    return parser
+
+
+def _leaf_parser(arguments, options, handler, prog):
+    leaf = argparse.ArgumentParser(prog=prog, **options)
+    for flags, kwargs in arguments:
+        leaf.add_argument(*flags, **kwargs)
+    leaf.set_defaults(run=handler)
+    return leaf
+
+
 @cache
 def _build_parser():
-    """The one parser of this process, built on the first call of `main`.
+    """The one top-level parser of this process, built on the first call of
+    `main`; a group's or a command's parser is built the first time a call
+    dispatches to it, and kept.
 
-    Reusing it is safe: argparse keeps each call's state in the namespace
+    Reusing them is safe: argparse keeps each call's state in the namespace
     it returns, and the handlers look their callees up when they run.
     """
     description = "Tree-models, SC-trees, conversions, solvers, and logic."
     top = argparse.ArgumentParser(prog="shrubkit", description=description)
     top.add_argument("--format", choices=("text", "structured"), default="text",
                      help="verdict output style")
-    groups = {"": top.add_subparsers(dest="command", required=True)}
-    for group, name, arguments, options, handler in _COMMANDS:
-        if group not in groups:
-            dest, help_text = _GROUPS[group]
-            parser = groups[""].add_parser(group, help=help_text)
-            groups[group] = parser.add_subparsers(dest=dest, required=True)
-        leaf = groups[group].add_parser(name, **options)
-        for flags, kwargs in arguments:
-            leaf.add_argument(*flags, **kwargs)
-        leaf.set_defaults(run=handler)
+    _add_commands(top, "", "command")
     return top
 
 
@@ -265,9 +326,8 @@ def _solve_tm(args, caps, structured):
     if witness is None:
         _verdict(f"NO (verified for all depths <= {args.d})", structured)
         return 1
-    text = tree_model.model_to_text(witness)
-    _verdict("YES", structured, depth=witness.depth, colors=witness.colors)
-    _emit(text, args.out)
+    _verdict_then(tree_model.model_to_text(witness), args.out, "YES", structured,
+                  depth=witness.depth, colors=witness.colors)
 
 
 @_command("solve tmc", _GRAPH, _int("--d"), _int("--m"), _int("--k"), _out())
@@ -277,9 +337,8 @@ def _solve_tmc(args, caps, structured):
     if copied is None:
         _verdict("NO", structured)
         return 1
-    text = tree_model.model_to_text(copied.model)
-    _verdict("YES", structured, depth=args.d, colors=args.m, k=args.k)
-    _emit(text, args.out)
+    _verdict_then(tree_model.model_to_text(copied.model), args.out, "YES",
+                  structured, depth=args.d, colors=args.m, k=args.k)
 
 
 @_command("solve sc", _GRAPH, _int("--n"), _out("witness SC-tree file"))
@@ -288,16 +347,15 @@ def _solve_sc(args, caps, structured):
     if witness is None:
         _verdict(f"NO (no SC-tree of height <= {args.n})", structured)
         return 1
-    text = sc_model.sc_to_text(witness)
-    _verdict("YES", structured, height=witness.height)
-    _emit(text, args.out)
+    _verdict_then(sc_model.sc_to_text(witness), args.out, "YES", structured,
+                  height=witness.height)
 
 
 @_command("solve td", _GRAPH, _out("witness forest file"))
 def _solve_td(args, caps, structured):
     value, forest = depth.tree_depth(_graph(args), cap=caps["td"])
-    _verdict(f"TREE-DEPTH {value}", structured)
-    _emit(depth.forest_to_text(forest), args.out)
+    _verdict_then(depth.forest_to_text(forest), args.out, f"TREE-DEPTH {value}",
+                  structured)
 
 
 @_command("solve nd", _GRAPH)
@@ -309,9 +367,11 @@ def _solve_nd(args, caps, structured):
 def _solve_obstructions(args, caps, structured):
     found = solver.minimal_obstructions(args.d, args.m, args.max_n, cap=caps["tm"])
     blocks = [graph_to_text(g) for g in found]
-    _verdict(f"OBSTRUCTIONS {len(found)}", structured, graphs=blocks)
-    if not structured:
-        _emit("\n".join(blocks), args.out)
+    line = f"OBSTRUCTIONS {len(found)}"
+    if structured:
+        _verdict(line, structured, graphs=blocks)
+    else:
+        _verdict_then("\n".join(blocks), args.out, line, structured, graphs=blocks)
 
 
 # each verify command reads the graph before the certificate
@@ -394,8 +454,7 @@ def _mso_transduce(args, caps, structured):
     if image is None:
         _verdict("UNDEFINED", structured)
         return 1
-    _verdict("DEFINED", structured)
-    _emit(graph_to_text(image), args.out)
+    _verdict_then(graph_to_text(image), args.out, "DEFINED", structured)
 
 
 @_command("reduce-tree", _IN,

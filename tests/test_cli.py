@@ -305,6 +305,62 @@ class TestDeepWitnessFiles:
         assert code == 2 and "SC-tree JSON nests deeper than 2500 levels" in err
 
 
+# each command that writes a witness or an image with -o, on inputs where it
+# succeeds; the file names are relative to the test's directory
+WRITERS = {
+    "solve tm": ["solve", "tm", "--graph", "k3.g", "--d", "1", "--m", "1"],
+    "solve tmc": ["solve", "tmc", "--graph", "k3.g", "--d", "1", "--m", "1",
+                  "--k", "3"],
+    "solve sc": ["solve", "sc", "--graph", "k3.g", "--n", "1"],
+    "solve td": ["solve", "td", "--graph", "k3.g"],
+    "solve obstructions": ["solve", "obstructions", "--d", "1", "--m", "1",
+                           "--max-n", "3"],
+    "mso transduce": ["mso", "transduce", "--graph", "k3.g", "--mu", "edge(x, y)"],
+}
+
+
+class TestOutFiles:
+    @pytest.fixture(autouse=True)
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "k3.g", graph_to_text(make_clique(3)))
+
+    @pytest.mark.parametrize("argv", WRITERS.values(), ids=WRITERS)
+    def test_a_failed_write_leaves_stdout_empty(self, argv):
+        # no caller may read a verdict whose witness was never written
+        code, out, err = run([*argv, "-o", "nodir/x.out"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "No such file or directory" in err
+
+    @pytest.mark.parametrize("argv", WRITERS.values(), ids=WRITERS)
+    def test_stdout_is_the_verdict_then_the_file(self, tmp_path, argv):
+        code, verdict, err = run([*argv, "-o", "w.out"])
+        assert (code, err) == (0, "")
+        written = (tmp_path / "w.out").read_text(encoding="utf-8")
+        assert written and run(argv) == (0, verdict + written, "")
+
+
+# each flag that names an input file, in a command that reads it after any
+# valid input it also needs
+READERS = {
+    "--graph": ["solve", "nd", "--graph", "bad"],
+    "--model": ["verify", "tm", "--model", "bad", "--graph", "k3.g"],
+    "--sc": ["verify", "sc", "--sc", "bad", "--graph", "k3.g"],
+    "--forest": ["verify", "td", "--forest", "bad", "--graph", "k3.g"],
+    "--formula": ["mso", "parse", "--formula", "bad"],
+    "--in": ["convert", "tm-eval", "--in", "bad"],
+}
+
+
+@pytest.mark.parametrize("argv", READERS.values(), ids=READERS)
+def test_a_file_that_is_not_utf8_is_an_error(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "k3.g", graph_to_text(make_clique(3)))
+    (tmp_path / "bad").write_bytes(b"\xff\xfe\n")
+    code, out, err = run(argv)
+    assert (code, out, err) == (2, "", "error: bad is not UTF-8 text\n")
+
+
 class TestMso:
     def test_parse(self, tmp_path):
         f = write(tmp_path / "phi.mso", "ex1 x. ex1 y. edge(x, y)")
@@ -477,3 +533,22 @@ class TestCapsEnv:
         monkeypatch.setenv("SHRUBKIT_CAPS", "tm=big")
         code, _, err = run(["solve", "nd", "--graph", g_file])
         assert code == 2 and "integer" in err
+
+    def test_negative_rejected(self, tmp_path, monkeypatch):
+        g_file = write(tmp_path / "k3.g", graph_to_text(make_clique(3)))
+        monkeypatch.setenv("SHRUBKIT_CAPS", "tm=-3")
+        code, out, err = run(["solve", "tm", "--graph", g_file, "--d", "1",
+                              "--m", "1"])
+        assert (code, out) == (2, "")
+        assert err == "error: SHRUBKIT_CAPS value for tm must be at least 0, got -3\n"
+
+    def test_zero_set_quantifiers_means_first_order(self, tmp_path, monkeypatch):
+        g_file = write(tmp_path / "k3.g", graph_to_text(make_clique(3)))
+        first_order = write(tmp_path / "fo.mso", "all1 x. ex1 y. edge(x, y)")
+        monadic = write(tmp_path / "mso.mso", "ex2 X. true")
+        monkeypatch.setenv("SHRUBKIT_CAPS", "mso-set-quantifiers=0")
+        assert run(["mso", "check", "--graph", g_file, "--formula", first_order]) \
+            == (0, "TRUE\n", "")
+        code, out, err = run(["mso", "check", "--graph", g_file, "--formula", monadic])
+        assert (code, out) == (2, "")
+        assert err == "error: set quantifier nesting cap is 0, got 1\n"

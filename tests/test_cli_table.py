@@ -1,5 +1,6 @@
 """The command table: help bytes, repeat calls, the README and an argv fuzz."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -93,6 +94,19 @@ def test_help_and_usage_bytes_are_pinned(monkeypatch):
     assert got == HELP_DIGESTS
 
 
+# the reverse order asks for each command's help before its group's, so a
+# group whose listing grew a line when a command's parser was built fails it
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="digests pin the argparse layout of CPython 3.11")
+def test_help_bytes_hold_when_commands_are_built_first(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("SHRUBKIT_CAPS", raising=False)
+    cli._build_parser.cache_clear()
+    for key in reversed(HELP_DIGESTS):
+        got = (_digest(key.split() + ["--help"]), _digest(key.split()))
+        assert got == HELP_DIGESTS[key], key
+
+
 def test_help_lists_commands_in_table_order():
     assert "{generate,convert,solve,verify,mso,reduce-tree}" in run(["--help"])[1]
     assert ("{tm-to-sc,sc-to-tm,tm-to-lincw,sc-eval,tm-eval,lincw-eval,td-to-tm}"
@@ -124,6 +138,29 @@ def test_repeat_calls_give_the_same_bytes(tmp_path):
 
 def test_the_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_a_call_builds_only_the_parsers_on_its_path(tmp_path, monkeypatch):
+    """The top parser, then each group's and command's parser on the first
+    call that dispatches to it; the whole table would be 35 parsers."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    g = tmp_path / "p3.g"
+    g.write_text(graph_to_text(make_path(3)), encoding="utf-8")
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    assert run(["solve", "nd", "--graph", str(g)])[0] == 0
+    assert built == ["shrubkit", "shrubkit solve", "shrubkit solve nd"]
+    assert run(["solve", "tm", "--graph", str(g), "--d", "2", "--m", "2"])[0] == 0
+    assert run(["solve", "nd", "--graph", str(g)])[0] == 0
+    assert built[3:] == ["shrubkit solve tm"]
+    assert run(["reduce-tree", "--help"])[0] == 0
+    assert built[4:] == ["shrubkit reduce-tree"]
 
 
 FRESH_MAIN = "import sys; from shrubkit import cli; sys.exit(cli.main(sys.argv[1:]))"
