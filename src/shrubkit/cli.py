@@ -265,9 +265,10 @@ def _generate_biclique(args, caps, structured):
           _arg("--model-out", help="also write the depth-2 model here"))
 def _generate_subdivided_k33(args, caps, structured):
     g, model = constructions.subdivided_matching_biclique_model()
-    _emit(graph_to_text(g), args.out)
+    # the model file first, so a write that fails leaves stdout empty
     if args.model_out:
         _emit(tree_model.model_to_text(model), args.model_out)
+    _emit(graph_to_text(g), args.out)
 
 
 @_command("generate path-model", _int("--m"), _out())

@@ -62,6 +62,13 @@ class TestGenerate:
         assert g.n == 9 and len(g.edges) == 12
         assert verify(model, g)
 
+    def test_a_failed_model_write_leaves_stdout_empty(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["generate", "subdivided-k33",
+                              "--model-out", "nodir/m.tm"])
+        assert (code, out) == (2, "")
+        assert "No such file or directory" in err
+
     def test_bad_parameter_is_an_error(self):
         code, out, err = run(["generate", "path", "--length", "-1"])
         assert code == 2 and out == ""

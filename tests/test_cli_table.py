@@ -255,7 +255,7 @@ MALFORMED = {
     "open.mso": "((",
     "blank": "",
     "text": "not an input\n",
-    "binary.bin": "\x00\xff",
+    "binary.bin": b"\x00\xff",  # not UTF-8, so written as bytes
 }
 FILES = {**MALFORMED, **{name: text for kind in VALID.values()
                          for name, text in kind.items()}}
@@ -327,7 +327,10 @@ def argvs(draw, command):
 def workdir(tmp_path_factory):
     where = tmp_path_factory.mktemp("argv-fuzz")
     for name, text in FILES.items():
-        (where / name).write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            (where / name).write_bytes(text)
+        else:
+            (where / name).write_text(text, encoding="utf-8")
     return where
 
 

@@ -8,9 +8,10 @@ RecursionError.  Two modules are left out:
 
 - `depth`: `tree_depth`'s `at_most` and `build` recurse at most once per
   vertex, so no deeper than the tree-depth cap (16 vertices by default).
-- `solver`: the decider's `feasible` and the chain walk's `place` call
-  themselves by name, but as generators driven by `_drive` on an explicit
-  stack, so the call stack does not grow with them.
+- `solver`: the decider's `feasible`, the chain walk's `place` and the SC
+  prefix search `_sc_prefix` call themselves by name, but as generators
+  driven by `_drive` on an explicit stack, so the call stack does not grow
+  with them.
 """
 
 import ast

@@ -780,6 +780,70 @@ class TestScClosedForms:
         assert len(calls) <= 1_000
 
 
+# SHA-256 over _sc_dump of every answer in _sc_digest_calls, taken while
+# every complement set X was tried in mask order
+SC_WITNESS_DIGEST = "f84740d883f5d2a0c11276b6b3c2797fc163ca47c9bd459f88d1c71a919a453c"
+
+
+def _sc_digest_calls():
+    """sc_membership at heights 0-3 on every graph of 1-6 vertices, each
+    relabelled by a seeded permutation."""
+    rng = random_seeded(78)
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = relabel_graph(g, dict(enumerate(perm)))
+            for depth in range(4):
+                yield sc_membership(h, depth)
+
+
+class TestScPrefixSearch:
+    """The least complement set found one vertex at a time, with each
+    prefix cut as soon as a component of its flip leaves SC(h - 1).  The
+    loop over all 2^n sets is the reference.  Counts, not times."""
+
+    def test_witnesses_match_the_pinned_digest(self):
+        digest = hashlib.sha256()
+        calls = 0
+        for w in _sc_digest_calls():
+            digest.update(b"None" if w is None else _sc_dump(w))
+            calls += 1
+        assert calls == 832
+        assert digest.hexdigest() == SC_WITNESS_DIGEST
+
+    def test_nine_vertex_search_steps(self, monkeypatch):
+        # the loop took about 14 s at height 3 and more than 870 s at 4
+        g = random_graph(random_seeded(99), 9)
+        calls = _count_calls(monkeypatch, "_sc_prefix")
+        assert sc_membership(g, 3) is None
+        assert calls[0] == 1_997
+        calls[0] = 0
+        assert sc_membership(g, 4) is not None
+        assert calls[0] == 55_792
+
+    def test_nine_vertices_at_height_four(self):
+        g = random_graph(random_seeded(99), solver.DEFAULT_SC_CAP)
+        start = time.perf_counter()
+        w = sc_membership(g, 4)
+        assert time.perf_counter() - start < 10.0
+        assert w is not None and w.height <= 4
+        assert evaluate_sc(w) == g
+
+    def test_heights_nest_and_sit_inside_tree_models(self):
+        # SC(h) is in SC(h + 1), and sc_to_tm puts SC(h) in TM(h, 2^h)
+        inclusions = 0
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                member = [sc_membership(g, h) is not None for h in range(4)]
+                assert member == sorted(member), g
+                for h in range(1, 4):
+                    if member[h]:
+                        assert solver._decide(g, h, 2**h), (g, h)
+                        inclusions += 1
+        assert inclusions == 343
+
+
 class TestGraphEnumeration:
     def test_levels_are_pinned(self):
         for n, digest in enumerate(ENUMERATION_DIGESTS):
