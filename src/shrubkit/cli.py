@@ -368,11 +368,10 @@ def _solve_nd(args, caps, structured):
 def _solve_obstructions(args, caps, structured):
     found = solver.minimal_obstructions(args.d, args.m, args.max_n, cap=caps["tm"])
     blocks = [graph_to_text(g) for g in found]
-    line = f"OBSTRUCTIONS {len(found)}"
-    if structured:
-        _verdict(line, structured, graphs=blocks)
-    else:
-        _verdict_then("\n".join(blocks), args.out, line, structured, graphs=blocks)
+    # a structured verdict holds the blocks, so they go to stdout only once
+    text = "" if structured and args.out is None else "\n".join(blocks)
+    _verdict_then(text, args.out, f"OBSTRUCTIONS {len(found)}", structured,
+                  graphs=blocks)
 
 
 # each verify command reads the graph before the certificate

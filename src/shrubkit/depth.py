@@ -100,7 +100,9 @@ def tree_depth(g, cap=DEFAULT_TD_CAP):
     The witness roots each component at its first vertex, in ascending
     order, whose deletion lowers the tree-depth; since td(G - v) is td(G)
     or td(G) - 1 for a connected G, that is the first v passing
-    at_most(comp - v, td(comp) - 1).
+    at_most(comp - v, td(comp) - 1).  The forest is built on an explicit
+    stack, and it is checked against g and its height before it is
+    returned; a forest that fails raises ValidationError.
     """
     _whole(cap=cap)
     n = g.n
@@ -175,22 +177,25 @@ def tree_depth(g, cap=DEFAULT_TD_CAP):
             k -= 1
         return k
 
+    value = td((1 << n) - 1)
+    # (vertex set, the vertex above it) on an explicit stack, so the forest
+    # may be deeper than the recursion limit; at_most is exact, so the root
+    # chosen for a component does not depend on the order of the visits
     parent = [-1] * n
-
-    def build(mask, above):
+    stack = [((1 << n) - 1, -1)]
+    while stack:
+        mask, above = stack.pop()
         for comp in mask_components(adj, mask):
             target = td(comp)
             for v in members(comp):
                 if at_most(comp & ~(1 << v), target - 1):
                     parent[v] = above
-                    build(comp & ~(1 << v), v)
+                    stack.append((comp & ~(1 << v), v))
                     break
-
-    value = 0
-    if n:
-        value = td((1 << n) - 1)
-        build((1 << n) - 1, -1)
-    return value, EliminationForest(parent)
+    forest = EliminationForest(parent)
+    if forest.height != value - 1 or not validate_td(g, forest):
+        raise ValidationError("the witness forest does not fit the graph")
+    return value, forest
 
 
 def td_to_tm(g, f):

@@ -122,7 +122,9 @@ def induced_subgraph(g, keep):
 
 def relabel_graph(g, perm):
     """Rename vertices by perm (perm[old] = new, a bijection on 0..n-1)."""
-    if sorted(perm) != list(range(g.n)):
+    vertices = list(range(g.n))
+    # sorted(perm) reads a dict's keys but a list's values: test the values too
+    if sorted(perm) != vertices or sorted(perm[v] for v in vertices) != vertices:
         raise DomainError("perm is not a bijection on the vertex set")
     edges = [(perm[u], perm[v]) for u, v in g.edges]
     labels = {perm[v]: names for v, names in g.labels.items()}

@@ -72,8 +72,7 @@ from .formulas import (
     Or,
     RelAtom,
     TrueConst,
-    free_vars,
-    set_quantifier_rank,
+    _summary,
 )
 
 DEFAULT_VERTEX_CAP = 12
@@ -169,7 +168,7 @@ def compile_formula(
         raise ResourceLimitError(
             f"evaluation cap is {max_vertices} vertices, got {n}"
         )
-    rank = set_quantifier_rank(formula)
+    free, _, _, rank, _ = _summary(formula)
     if rank > max_set_quantifiers:
         raise ResourceLimitError(
             f"set quantifier nesting cap is {max_set_quantifiers}, got {rank}"
@@ -179,8 +178,7 @@ def compile_formula(
     scope = {name: slot for slot, name in enumerate(names)}
     env = [None] * len(names)
     # a lower-case name can only be assigned a vertex, an upper-case one a set
-    free_fo, free_set = free_vars(formula)
-    missing = (free_fo | free_set) - scope.keys()
+    missing = free - scope.keys()
     if missing:
         raise DomainError(
             "unassigned free variables: " + ", ".join(sorted(missing))

@@ -248,69 +248,55 @@ _QUANT = {**_FO_QUANT, **_SET_QUANT}
 _KINDS = {*_ATOM_TEXT, Not, *_BINARY, *_QUANT}
 
 
+def _summary(formula):
+    """(free variables, every variable name, quantifier count, deepest
+    set-quantifier nesting, lcm of the mod atoms' moduli or 1) in one walk.
+    A quantifier binds its variable in its body.  The free variables of both
+    sorts share one set, as only a set variable's name starts upper-case.
+    No set is changed once built, so a node may pass on its part's sets."""
+    t = type(formula)
+    if not formula._PARTS:
+        own = {getattr(formula, name) for name in formula._FO + formula._SETS}
+        return own, own, 0, 0, formula.b if t is ModCount else 1
+    free, names, count, rank, mod = _summary(getattr(formula, formula._PARTS[0]))
+    for name in formula._PARTS[1:]:
+        p_free, p_names, p_count, p_rank, p_mod = _summary(getattr(formula, name))
+        free, names = free | p_free, names | p_names
+        count, rank, mod = count + p_count, max(rank, p_rank), lcm(mod, p_mod)
+    if t not in _QUANT:
+        return free, names, count, rank, mod
+    bound = {formula.var}
+    return free - bound, names | bound, count + 1, rank + (t in _SET_QUANT), mod
+
+
 def free_vars(formula):
     """(first-order frees, set frees) as a pair of frozensets."""
-    fo, sets = set(), set()
-
-    def walk(f, bound):
-        # a node with parts binds its own variables in them; names of the two
-        # sorts never clash, so one bound set serves both
-        for free, names in ((fo, f._FO), (sets, f._SETS)):
-            for name in names:
-                var = getattr(f, name)
-                if f._PARTS:
-                    bound = bound | {var}
-                elif var not in bound:
-                    free.add(var)
-        for name in f._PARTS:
-            walk(getattr(f, name), bound)
-
-    walk(formula, frozenset())
-    return frozenset(fo), frozenset(sets)
+    free = _summary(formula)[0]
+    sets = frozenset(var for var in free if var[0].isupper())
+    return frozenset(free) - sets, sets
 
 
 def is_sentence(formula):
-    fo, sets = free_vars(formula)
-    return not fo and not sets
+    return not _summary(formula)[0]
 
 
 def all_var_names(formula):
     """Every variable name occurring anywhere, bound or free."""
-    names = set()
-
-    def walk(f):
-        for name in f._FO + f._SETS:
-            names.add(getattr(f, name))
-        for name in f._PARTS:
-            walk(getattr(f, name))
-
-    walk(formula)
-    return names
+    return _summary(formula)[1]
 
 
 def quantifier_count(formula):
-    count = 1 if type(formula) in _QUANT else 0
-    for name in formula._PARTS:
-        count += quantifier_count(getattr(formula, name))
-    return count
+    return _summary(formula)[2]
 
 
 def set_quantifier_rank(formula):
     """Deepest nesting of set quantifiers."""
-    deepest = 0
-    for name in formula._PARTS:
-        deepest = max(deepest, set_quantifier_rank(getattr(formula, name)))
-    return deepest + 1 if type(formula) in _SET_QUANT else deepest
+    return _summary(formula)[3]
 
 
 def mod_lcm(formula):
     """Least common multiple of the moduli appearing in mod atoms (1 if none)."""
-    if type(formula) is ModCount:
-        return formula.b
-    out = 1
-    for name in formula._PARTS:
-        out = lcm(out, mod_lcm(getattr(formula, name)))
-    return out
+    return _summary(formula)[4]
 
 
 def _rebuild(f, walk, rename=None):

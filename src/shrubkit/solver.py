@@ -29,7 +29,7 @@ so also checks the witness against the graph.
 
 from __future__ import annotations
 
-from .errors import DomainError, ResourceLimitError, _whole
+from .errors import DomainError, ResourceLimitError, ValidationError, _whole
 from .graph import (
     Graph,
     adjacency_rows,
@@ -42,7 +42,7 @@ from .graph import (
     twin_partition,
 )
 from .rooted_tree import RootedTree
-from .sc_model import SCTree, fold_sc
+from .sc_model import SCTree, evaluate_sc, fold_sc
 from .tree_model import CopiedTreeModel, TreeModel, infer_signature
 
 DEFAULT_TM_CAP = 10
@@ -426,6 +426,8 @@ def sc_membership(g, depth, cap=DEFAULT_SC_CAP):
     height 1 still goes through the canonical form and the memo, so that
     its witness lists the leaves in canonical order.  Every step is a
     generator run by `_drive`, so a large budget does not overflow the stack.
+    The witness is checked against g, labels aside, before it is returned;
+    one that fails raises ValidationError.
     """
     _whole(depth=depth, cap=cap)
     if depth < 0:
@@ -474,7 +476,12 @@ def sc_membership(g, depth, cap=DEFAULT_SC_CAP):
             children.append(_relabel_sc(sub_witness, dict(enumerate(ids))))
         return SCTree.inner(children, x)
 
-    return _drive(member(g, depth))
+    witness = _drive(member(g, depth))
+    if witness is not None:
+        denoted = evaluate_sc(witness)
+        if (denoted.n, denoted.edges) != (g.n, g.edges) or witness.height > depth:
+            raise ValidationError("the SC witness does not denote the graph")
+    return witness
 
 
 def _sc_prefix(rows, h, fits, t, x):

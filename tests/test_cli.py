@@ -229,6 +229,15 @@ class TestSolve:
         assert len(found) == 2
         assert any(are_isomorphic(g, make_path(2)) for g in found)
 
+    def test_structured_obstructions_write_the_text_file(self, tmp_path):
+        argv = ["solve", "obstructions", "--d", "1", "--m", "1", "--max-n", "3"]
+        text_file, json_file = tmp_path / "text.txt", tmp_path / "json.txt"
+        assert run(argv + ["-o", str(text_file)])[0] == 0
+        code, out, _ = run(["--format", "structured", *argv, "-o", str(json_file)])
+        assert code == 0
+        assert json_file.read_bytes() == text_file.read_bytes()
+        assert out == run(["--format", "structured", *argv])[1]
+
 
 class TestVerify:
     def test_tm_mismatch(self, tmp_path):

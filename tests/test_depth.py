@@ -1,9 +1,11 @@
 """Elimination forests, tree-depth and the depth-to-model construction."""
 
 import hashlib
+import inspect
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -134,6 +136,22 @@ class TestTreeDepth:
             val, forest = tree_depth(g)
             assert validate_td(g, forest)
             assert forest.height + 1 == val
+
+    def test_a_deep_forest_is_built_without_recursion(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            value, forest = tree_depth(make_clique(60), cap=60)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value == 60 and forest.height == 59
+
+    def test_a_wrong_witness_is_refused(self, monkeypatch):
+        # a fault that leaves every vertex a root: well formed, covers no edge
+        monkeypatch.setattr(shrubkit.depth, "EliminationForest",
+                            lambda parent: EliminationForest([-1] * len(parent)))
+        with pytest.raises(ValidationError, match="witness forest"):
+            tree_depth(make_path(3))
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):

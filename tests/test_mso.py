@@ -815,9 +815,9 @@ class TestInterpretation:
         # the package re-exports the function `evaluate` under the module's name
         evaluate_module = importlib.import_module("shrubkit.mso.evaluate")
         ranked = []
-        rank = evaluate_module.set_quantifier_rank
-        monkeypatch.setattr(evaluate_module, "set_quantifier_rank",
-                            lambda f: ranked.append(f) or rank(f))
+        summary = evaluate_module._summary
+        monkeypatch.setattr(evaluate_module, "_summary",
+                            lambda f: ranked.append(f) or summary(f))
         interp = Interpretation(parse_formula("ex1 y. edge(x, y)"),
                                 parse_formula("ex1 z. (edge(x, z) & edge(z, y))"))
         h, ids = apply_interpretation(interp, Graph(5, [(0, 1), (1, 2), (2, 3)]))

@@ -6,7 +6,7 @@ on an explicit stack, so a graph or tree deeper than the interpreter's
 recursion limit of 1,000 frames gets an answer or a ShrubError, never a
 RecursionError.  Two modules are left out:
 
-- `depth`: `tree_depth`'s `at_most` and `build` recurse at most once per
+- `depth`: only `tree_depth`'s `at_most` recurses, at most once per
   vertex, so no deeper than the tree-depth cap (16 vertices by default).
 - `solver`: the decider's `feasible`, the chain walk's `place` and the SC
   prefix search `_sc_prefix` call themselves by name, but as generators

@@ -13,6 +13,7 @@ from shrubkit import (
     Graph,
     ResourceLimitError,
     SignatureConflict,
+    ValidationError,
     are_isomorphic,
     enumerate_graphs,
     evaluate_sc,
@@ -673,6 +674,19 @@ class TestScMembership:
             if w is not None:
                 assert evaluate_sc(w) == g
                 assert w.height <= 3
+
+    def test_a_wrong_witness_is_refused(self, monkeypatch):
+        # a fault that swaps leaves 0 and 1 keeps the tree well formed
+        relabel = solver._relabel_sc
+
+        def swapped(t, mapping):
+            w = relabel(t, mapping)
+            swap = {0: 1, 1: 0} if {0, 1} <= w.leaf_vertices else {}
+            return relabel(w, {v: swap.get(v, v) for v in w.leaf_vertices})
+
+        monkeypatch.setattr(solver, "_relabel_sc", swapped)
+        with pytest.raises(ValidationError, match="SC witness"):
+            sc_membership(make_path(3), 3)
 
     def test_monotone_in_height(self):
         rng = random_seeded(74)
