@@ -386,7 +386,7 @@ def _verify_tm(args, caps, structured):
 def _verify_sc(args, caps, structured):
     g = _graph(args)
     t = sc_model.sc_from_text(_read(args.sc))
-    return _ok_or("MISMATCH", sc_model.evaluate_sc(t) == g, structured)
+    return _ok_or("MISMATCH", sc_model.verify_sc(t, g), structured)
 
 
 @_command("verify td", _arg("--forest", required=True), _GRAPH)

@@ -117,6 +117,12 @@ def evaluate_sc(t):
     return Graph(n, edges)
 
 
+def verify_sc(t, g):
+    """True iff t denotes g: the same vertex count and edges, labels aside."""
+    denoted = evaluate_sc(t)
+    return denoted.n == g.n and denoted.edges == g.edges
+
+
 def pad_sc(t, target):
     """Push every leaf to depth exactly `target` with no-op unary nodes."""
     if target < t.height:

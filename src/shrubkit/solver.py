@@ -42,7 +42,7 @@ from .graph import (
     twin_partition,
 )
 from .rooted_tree import RootedTree
-from .sc_model import SCTree, evaluate_sc, fold_sc
+from .sc_model import SCTree, fold_sc, verify_sc
 from .tree_model import CopiedTreeModel, TreeModel, infer_signature
 
 DEFAULT_TM_CAP = 10
@@ -477,10 +477,8 @@ def sc_membership(g, depth, cap=DEFAULT_SC_CAP):
         return SCTree.inner(children, x)
 
     witness = _drive(member(g, depth))
-    if witness is not None:
-        denoted = evaluate_sc(witness)
-        if (denoted.n, denoted.edges) != (g.n, g.edges) or witness.height > depth:
-            raise ValidationError("the SC witness does not denote the graph")
+    if witness is not None and (not verify_sc(witness, g) or witness.height > depth):
+        raise ValidationError("the SC witness does not denote the graph")
     return witness
 
 
@@ -534,10 +532,6 @@ def _sc_prefix(rows, h, fits, t, x):
     return None
 
 
-# level n -> its graphs, in canonical layout and ordered by canonical key
-_GRAPH_LISTS = {0: (Graph(0),)}
-
-
 def _next_level(graphs, admit=None):
     """Canonical key -> (first extension reaching it, its canonical labelling)
     over the extensions of graphs by a vertex g.n of least degree, joined to
@@ -560,34 +554,48 @@ def _next_level(graphs, admit=None):
     return found
 
 
+def _levels(max_n, member):
+    """(member classes on max_n vertices, minimal non-members on 1..max_n
+    vertices) of the hereditary class that member decides on non-empty
+    graphs, each list in canonical layout, by level and key.  Every member
+    and every minimal non-member has a member as its least-degree deletion,
+    so only member classes are kept and extended.  An extension is canonized
+    only if each one-vertex deletion is a member (its new vertex's gives the
+    member it extends, twins give isomorphic ones, and the rest are looked
+    up among the last level's member keys); else it is not minimal.  So
+    member runs once per member class and once per minimal non-member.
+    Equal keys give the same canonical layout, so which extension reaches a
+    key first does not change the output."""
+    out, members, member_keys = [], [Graph(0)], set()
+    for _ in range(max_n):
+        # until a level holds a non-member, every smaller graph is a member
+        found = _next_level(members, _deletions_in(member_keys) if out else None)
+        members, member_keys = [], set()
+        for key in sorted(found):
+            g = relabel_graph(*found[key])
+            if member(g):
+                members.append(g)
+                member_keys.add(key)
+            else:
+                out.append(g)
+    return members, out
+
+
 def enumerate_graphs(n):
     """Every graph on 0..n-1 up to isomorphism, each in canonical layout,
-    ordered by canonical form.  Levels are cached across calls; each missing
-    one is built from every least-degree extension of the level below, 3,132
-    canonical forms up to n = 7.  Equal keys give the same canonical layout,
-    so which extension reaches a key first does not change the output."""
+    ordered by canonical form; 3,132 canonical forms up to n = 7."""
     _whole(n=n)
     if n < 0:
         raise DomainError("n must be >= 0")
-    for k in range(max(i for i in _GRAPH_LISTS if i <= n) + 1, n + 1):
-        found = _next_level(_GRAPH_LISTS[k - 1])
-        _GRAPH_LISTS[k] = tuple(relabel_graph(*found[key]) for key in sorted(found))
-    return list(_GRAPH_LISTS[n])
+    return _levels(n, lambda g: True)[0]
 
 
 def minimal_obstructions(d, m, max_n, cap=DEFAULT_TM_CAP):
     """Non-members (up to isomorphism, <= max_n vertices) all of whose
     one-vertex deletions are members, in canonical layout, by level and key.
-
-    A tree-model restricts to any subset of its leaves, so every member and
-    every minimal non-member has a member as its least-degree deletion: only
-    member classes are kept and extended.  An extension is canonized only if
-    each one-vertex deletion is a member (its new vertex's gives the member
-    it extends, twins give isomorphic ones, and the rest are looked up among
-    the last level's member keys); else it is not minimal.  So `_decide`
-    runs once per member class and once per obstruction: for (1, 2, 6), 44
-    decides and 140 canonical forms, where enumerating all graphs took 76
-    and 499."""
+    A tree-model restricts to any subset of its leaves, so the class is
+    hereditary: for (1, 2, 6), `_levels` makes 44 decides and 140 canonical
+    forms, where enumerating all graphs took 76 and 499."""
     _whole(d=d, m=m, max_n=max_n, cap=cap)
     if max_n < 1:
         raise DomainError("max_n must be >= 1")
@@ -595,19 +603,7 @@ def minimal_obstructions(d, m, max_n, cap=DEFAULT_TM_CAP):
         raise ResourceLimitError(f"membership cap is {cap} vertices, got max_n={max_n}")
     if d < 0 or m < 1:
         raise DomainError("need d >= 0 and m >= 1")
-    out, members, member_keys = [], [Graph(0)], set()
-    for _ in range(max_n):
-        # until a level holds an obstruction, every smaller graph is a member
-        found = _next_level(members, _deletions_in(member_keys) if out else None)
-        members, member_keys = [], set()
-        for key in sorted(found):
-            g = relabel_graph(*found[key])
-            if _decide(g, d, m):
-                members.append(g)
-                member_keys.add(key)
-            else:
-                out.append(g)
-    return out
+    return _levels(max_n, lambda g: _decide(g, d, m))[1]
 
 
 def _deletions_in(keys):

@@ -304,13 +304,10 @@ def canonical_code(ct, node=None):
     codes would, so deep equal siblings are never compared recursively.
     """
 
-    def visit(u, done):
-        done.sort(key=itemgetter(1))
-        head = (ct.color[u],)
-        return ((*head, tuple(c for c, _ in done)),
-                _flat_key(head, [k for _, k in done]))
+    def code(u, codes):
+        return (ct.color[u], tuple(codes)), (ct.color[u],)
 
-    return ct.tree.fold(visit, node)[0]
+    return _sorted_records(ct.tree, code, node)
 
 
 def _flat_key(head, keys):
@@ -387,8 +384,9 @@ def reduce_tree(ct, thresholds, modulus):
 # serialization
 
 
-def _sorted_records(tree, node):
-    """The record tree of `tree`, each node's children sorted by their keys.
+def _sorted_records(tree, node, top=None):
+    """The record tree of the subtree at `top` (the root by default), each
+    node's children sorted by their keys.
 
     node(u, sorted child records) returns u's record and the head of u's
     key, from which _flat_key builds the key.
@@ -399,7 +397,7 @@ def _sorted_records(tree, node):
         record, head = node(u, [r for r, _ in done])
         return record, _flat_key(head, [k for _, k in done])
 
-    return tree.fold(visit)[0]
+    return tree.fold(visit, top)[0]
 
 
 def model_to_text(model):

@@ -279,6 +279,20 @@ class TestVerify:
         assert code == 1 and out.splitlines()[0] == "INVALID"
 
 
+@pytest.mark.parametrize("solve, verify_as", [
+    (["sc", "--n", "2"], ["sc", "--sc"]),
+    (["tm", "--d", "1", "--m", "2"], ["tm", "--model"]),
+    (["td"], ["td", "--forest"]),
+])
+def test_a_witness_for_a_labelled_graph_verifies(tmp_path, solve, verify_as):
+    # labels are not part of what a witness denotes
+    g_file = write(tmp_path / "g.txt", "3\n0 1\n1 2\nlabel 0 a\n")
+    witness = str(tmp_path / "w")
+    assert run(["solve", *solve, "--graph", g_file, "-o", witness])[0] == 0
+    code, out, _ = run(["verify", *verify_as, witness, "--graph", g_file])
+    assert (code, out.splitlines()[0]) == (0, "OK")
+
+
 class TestDeepWitnessFiles:
     """A witness file the CLI writes, it reads back; one nested past
     MAX_JSON_NESTING (2h + 2 levels for a tree-model of depth h, 2h + 1 for

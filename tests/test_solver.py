@@ -28,6 +28,7 @@ from shrubkit import (
     sc_membership,
     tm_membership,
     tmc_membership,
+    tree_depth,
     twin_partition,
     verify,
     verify_k_copied,
@@ -873,9 +874,51 @@ class TestGraphEnumeration:
             return canonical_form(g)
 
         monkeypatch.setattr(solver, "canonical_form", counted)
-        monkeypatch.setattr(solver, "_GRAPH_LISTS", {0: (Graph(0),)})
         enumerate_graphs(7)
         assert len(calls) == 3132
+
+    def test_no_state_survives_a_call(self, monkeypatch):
+        # a process-wide cache of levels once answered the second call with
+        # no canonical form at all
+        calls = _count_canonical_forms(monkeypatch)
+        for _ in range(2):
+            calls.clear()
+            enumerate_graphs(5)
+            assert len(calls) == 1 + 2 + 5 + 16 + 70
+
+
+def _keys(graphs):
+    return sorted(canonical_form(g)[0] for g in graphs)
+
+
+class TestLevels:
+    """`_levels` grows any hereditary class, not only TM(d, m)."""
+
+    def test_tree_depth_two(self):
+        got = solver._levels(4, lambda g: tree_depth(g)[0] <= 2)[1]
+        c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        assert _keys(got) == _keys([make_clique(3), make_path(3), c4])
+
+    def test_sc_height_one(self):
+        got = solver._levels(4, lambda g: sc_membership(g, 1) is not None)[1]
+        assert _keys(got) == _keys([make_path(2), Graph(4, [(0, 1), (2, 3)])])
+
+    def test_sc_height_two_up_to_seven_vertices(self):
+        got = solver._levels(7, lambda g: sc_membership(g, 2) is not None)[1]
+        assert [g.n for g in got] == [5] * 7 + [6] * 3
+
+    def test_tree_depth_three_up_to_seven_vertices(self):
+        got = solver._levels(7, lambda g: tree_depth(g)[0] <= 3)[1]
+        assert len(got) == 22
+        assert all(tree_depth(g)[0] == 4 for g in got)
+
+    def test_diversity_two_is_depth_one_with_two_colours(self):
+        got = solver._levels(6, lambda g: neighbourhood_diversity(g) <= 2)[1]
+        assert got == minimal_obstructions(1, 2, 6)
+
+    def test_every_graph_is_the_enumeration(self):
+        for n in range(7):
+            assert solver._levels(n, lambda g: True) == (enumerate_graphs(n), [])
 
 
 class TestObstructions:
@@ -892,7 +935,6 @@ class TestObstructions:
     def test_cold_run_canonizes_only_extensions_of_members(self, monkeypatch):
         # enumerating every graph up to 6 vertices took 499 canonical forms
         calls = _count_canonical_forms(monkeypatch)
-        monkeypatch.setattr(solver, "_GRAPH_LISTS", {0: (Graph(0),)})
         assert repr(minimal_obstructions(1, 2, 6)) == OBSTRUCTION_REPRS[1, 2, 6]
         assert len(calls) == 140
 
@@ -908,16 +950,12 @@ class TestObstructions:
         # on 5 vertices and none of them can be skipped
         forms = _count_canonical_forms(monkeypatch)
         decides = _count_decides(monkeypatch)
-        monkeypatch.setattr(solver, "_GRAPH_LISTS", {0: (Graph(0),)})
         assert repr(minimal_obstructions(2, 2, 5)) == OBSTRUCTION_REPRS[2, 2, 5]
         assert len(forms) <= 94 and len(decides) <= 52
 
     def test_agrees_with_the_deletion_loop_up_to_seven_vertices(self, monkeypatch):
-        monkeypatch.setattr(solver, "_GRAPH_LISTS", {0: (Graph(0),)})
         grid = [(d, m) for d in range(4) for m in range(1, 4)]
         got = {(d, m): minimal_obstructions(d, m, 7) for d, m in grid}
-        # the member search neither reads nor fills the enumeration cache
-        assert list(solver._GRAPH_LISTS) == [0]
         for d, m in grid:
             assert got[d, m] == deletion_minimal_obstructions(d, m, 7), (d, m)
 
