@@ -173,25 +173,27 @@ def components(g):
     return [_bits(c) for c in mask_components(g._rows, (1 << g.n) - 1)]
 
 
-def _are_twins(g, u, v):
-    return not (g._rows[u] ^ g._rows[v]) & ~(1 << u | 1 << v)
-
-
 def twin_partition(g):
     """Partition vertices into twin classes (blocks sorted, ordered by minimum).
 
     Two vertices are twins when their neighbourhoods agree outside the pair
     itself; this relation is an equivalence, so the partition is unique.
     """
+    return twin_classes(g._rows)
+
+
+def twin_classes(rows):
+    """`twin_partition` of the graph whose adjacency rows are `rows`."""
     classes = []
-    for v in range(g.n):
+    for v, row in enumerate(rows):
         for cls in classes:
-            if _are_twins(g, cls[0], v):
+            u = cls[0]
+            if not (rows[u] ^ row) & ~(1 << u | 1 << v):
                 cls.append(v)
                 break
         else:
             classes.append([v])
-    return [sorted(c) for c in classes]
+    return classes
 
 
 def neighbourhood_diversity(g):
@@ -229,13 +231,20 @@ def canonical_form(g):
     and candidates of one cell with equal rows and equal rows among the
     unplaced vertices are interchangeable, so only the first is explored.
     """
-    n = g.n
-    rows = adjacency_rows(g)
-    nbrs = [_bits(row) for row in rows]
-    init_keys = [len(near) for near in nbrs]
     names = None
     if g.labels:
-        names = [tuple(sorted(g.vertex_labels(v))) for v in range(n)]
+        names = [tuple(sorted(g.vertex_labels(v))) for v in range(g.n)]
+    return canonical_rows(g._rows, names)
+
+
+def canonical_rows(rows, names=None):
+    """`canonical_form` of the graph whose adjacency rows are `rows` and
+    whose vertex v carries the sorted label names names[v] (no labels when
+    names is None)."""
+    n = len(rows)
+    nbrs = [_bits(row) for row in rows]
+    init_keys = [len(near) for near in nbrs]
+    if names:
         init_keys = list(zip(names, init_keys))
     order = {k: i for i, k in enumerate(sorted(set(init_keys)))}
     colors = _refine_colors(nbrs, [order[k] for k in init_keys])

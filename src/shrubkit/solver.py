@@ -34,11 +34,13 @@ from .graph import (
     Graph,
     adjacency_rows,
     canonical_form,
+    canonical_rows,
     complement_on_subset,
     components,
     induced_subgraph,
     mask_components,
     relabel_graph,
+    twin_classes,
     twin_partition,
 )
 from .rooted_tree import RootedTree
@@ -58,17 +60,20 @@ def _admit(g, cap, what):
         raise DomainError("the empty graph has no model")
 
 
-def _search_coloring(g, m, depth, meet):
+def _search_coloring(g, m, depth, meet, first=()):
     """First-occurrence-canonical coloring consistent with some signature,
     as (colors, classes), or None.  Pairs whose meet level is None are open
     and constrain nothing.  The first such coloring is the least in
     lexicographic order, found by a depth-first search on an explicit stack:
     each vertex takes a color used before it or the least unused one, and
     the tri-state class map, (color, color, depth - level) -> edge, grows as
-    vertices are colored and rolls back on backtrack."""
+    vertices are colored and rolls back on backtrack.  Vertex t <
+    len(first) starts from color first[t] until the search first backtracks
+    past it, so a caller that knows no consistent coloring precedes `first`
+    resumes the search there."""
     n = g.n
     classes = {}
-    colors = [0] * n
+    colors = [c - 1 for c in first] + [0] * (n - len(first))
     added = [[] for _ in range(n)]  # the keys vertex t's color put in classes
     used = [0] * (n + 1)  # used[t] = max(colors[:t])
     t = 0
@@ -148,7 +153,11 @@ def _first_hit(g, m, depth, levels, last_max_block):
     shrinks the set of consistent colorings, so while the current coloring
     satisfies the pairs a placement fixes it is still the first one.  Only
     those pairs are checked against its class map, and the coloring search
-    runs again only when one of them conflicts.
+    runs again only when one of them conflicts.  Block vertices ascend, so
+    every pair a placement of v fixes ends at v: no coloring below the kept
+    one up to v can be completed, and the search resumes at v from the
+    kept prefix and v's kept color, where a search from vertex 0 would
+    retrace the old one.
 
     The walk is the generator `place`, run by `_drive`.  A call places the
     block's next vertex in each admitted part in turn, yields the call for
@@ -211,7 +220,7 @@ def _first_hit(g, m, depth, levels, last_max_block):
                 for key in added:
                     del classes[key]
                 added = []
-                sub = _search_coloring(g, m, depth, meet)
+                sub = _search_coloring(g, m, depth, meet, colors[:v + 1])
                 if sub is None:
                     continue
                 found = sub
@@ -533,23 +542,27 @@ def _sc_prefix(rows, h, fits, t, x):
 
 
 def _next_level(graphs, admit=None):
-    """Canonical key -> (first extension reaching it, its canonical labelling)
-    over the extensions of graphs by a vertex g.n of least degree, joined to
-    a mask with popcount(mask) <= deg_g(v) + [v in mask] for every v < g.n.
-    An isomorphism from a least-degree deletion of a class to some g carries
-    the deleted vertex's neighbours to an admitted mask, so the class is
-    reached.  With admit, only an extension h with admit(h) is canonized."""
+    """Canonical key -> (rows of the first extension reaching it, its
+    canonical labelling) over the extensions of graphs by a vertex g.n of
+    least degree, joined to a mask with popcount(mask) <= deg_g(v) +
+    [v in mask] for every v < g.n.  An isomorphism from a least-degree
+    deletion of a class to some g carries the deleted vertex's neighbours to
+    an admitted mask, so the class is reached.  An extension is a tuple of
+    adjacency rows, g's rows with bit g.n set from the mask and the mask as
+    the new row, and no Graph is built for it.  With admit, only an
+    extension h with admit(h) is canonized."""
     found = {}
     for g in graphs:
-        k = g.n
-        degrees = [g.degree(v) for v in range(k)]
+        rows = adjacency_rows(g)
+        k = len(rows)
+        degrees = [row.bit_count() for row in rows]
         for mask in range(1 << k):
             size = mask.bit_count()
             if any(d + (mask >> v & 1) < size for v, d in enumerate(degrees)):
                 continue
-            h = Graph(k + 1, g.edges + tuple((v, k) for v in range(k) if mask >> v & 1))
+            h = tuple(row | (mask >> v & 1) << k for v, row in enumerate(rows)) + (mask,)
             if admit is None or admit(h):
-                key, perm = canonical_form(h)
+                key, perm = canonical_rows(h)
                 found.setdefault(key, (h, perm))
     return found
 
@@ -561,18 +574,21 @@ def _levels(max_n, member):
     and every minimal non-member has a member as its least-degree deletion,
     so only member classes are kept and extended.  An extension is canonized
     only if each one-vertex deletion is a member (its new vertex's gives the
-    member it extends, twins give isomorphic ones, and the rest are looked
-    up among the last level's member keys); else it is not minimal.  So
-    member runs once per member class and once per minimal non-member.
-    Equal keys give the same canonical layout, so which extension reaches a
-    key first does not change the output."""
+    member it extends, twins give isomorphic ones, and the rest are tested
+    by `_deletions_in` against the last level's members); else it is not
+    minimal.  So member runs once per member class and once per minimal
+    non-member, and only these classes become a Graph.  Equal keys give the
+    same canonical layout, so which extension reaches a key first does not
+    change the output."""
     out, members, member_keys = [], [Graph(0)], set()
     for _ in range(max_n):
         # until a level holds a non-member, every smaller graph is a member
-        found = _next_level(members, _deletions_in(member_keys) if out else None)
+        found = _next_level(members, _deletions_in(member_keys, members) if out else None)
         members, member_keys = [], set()
         for key in sorted(found):
-            g = relabel_graph(*found[key])
+            rows, perm = found[key]
+            g = Graph(len(rows), [(perm[u], perm[v]) for u, row in enumerate(rows)
+                                  for v in range(u) if row >> v & 1])
             if member(g):
                 members.append(g)
                 member_keys.add(key)
@@ -594,8 +610,9 @@ def minimal_obstructions(d, m, max_n, cap=DEFAULT_TM_CAP):
     """Non-members (up to isomorphism, <= max_n vertices) all of whose
     one-vertex deletions are members, in canonical layout, by level and key.
     A tree-model restricts to any subset of its leaves, so the class is
-    hereditary: for (1, 2, 6), `_levels` makes 44 decides and 140 canonical
-    forms, where enumerating all graphs took 76 and 499."""
+    hereditary: for (1, 2, 6), `_levels` makes 44 decides, 84 canonical
+    forms and 45 Graphs, where enumerating all graphs took 76 decides and
+    499 canonical forms."""
     _whole(d=d, m=m, max_n=max_n, cap=cap)
     if max_n < 1:
         raise DomainError("max_n must be >= 1")
@@ -606,14 +623,34 @@ def minimal_obstructions(d, m, max_n, cap=DEFAULT_TM_CAP):
     return _levels(max_n, lambda g: _decide(g, d, m))[1]
 
 
-def _deletions_in(keys):
-    """The test that h minus v has its canonical key in keys for one v of
-    each twin class but that of h's last vertex, memoized on its edges."""
+def _deletions_in(keys, members):
+    """The test that the extension rows h minus v have their canonical key
+    in keys, the members' keys, for one v of each twin class but that of
+    h's last vertex.  The rows of h - v squeeze bit v out of h's rows.  h is
+    refused first if the sorted degree sequence of any such deletion is no
+    member's: isomorphic graphs share it, so the cut is exact and takes no
+    canonical form.  Only then are the deletions looked up in a memo on
+    their rows and canonized on a miss: for (1, 2, 6), `_levels` makes 84
+    canonical forms where it made 140 with no cut and a Graph per
+    deletion."""
+    degrees = {tuple(sorted(row.bit_count() for row in adjacency_rows(g))) for g in members}
     memo = {}
 
-    def member(h, v):
-        edges = tuple((a - (a > v), b - (b > v)) for a, b in h.edges if v not in (a, b))
-        if edges not in memo:
-            memo[edges] = canonical_form(Graph(h.n - 1, edges))[0] in keys
-        return memo[edges]
-    return lambda h: all(member(h, t[0]) for t in twin_partition(h) if t[-1] != h.n - 1)
+    def admit(h):
+        deletions = []
+        for twins in twin_classes(h):
+            if twins[-1] == len(h) - 1:
+                continue
+            v = twins[0]
+            low = (1 << v) - 1
+            rows = tuple(r & low | r >> 1 & ~low for u, r in enumerate(h) if u != v)
+            if tuple(sorted(row.bit_count() for row in rows)) not in degrees:
+                return False
+            deletions.append(rows)
+        for rows in deletions:
+            if rows not in memo:
+                memo[rows] = canonical_rows(rows)[0] in keys
+            if not memo[rows]:
+                return False
+        return True
+    return admit

@@ -500,6 +500,15 @@ class TestWalkWork:
         assert sorted(w.signature) == signature
         assert verify(w, g)
 
+    def test_ten_vertex_edge_tests(self):
+        # a rerun of the coloring search resumes at the placed vertex; rerun
+        # from vertex 0 it took 2,525,231 edge tests
+        g = random_graph(random_seeded(99), 10)
+        g = CountingGraph(g.n, g.edges)
+        CountingGraph.edge_tests = 0
+        assert tm_membership(g, 4, 3) is not None
+        assert CountingGraph.edge_tests == 1_709_088
+
 
 # SHA-256 over _witness_dump of every answer in _digest_calls, taken before
 # the witness assembly was rewritten to sign its tree with infer_signature
@@ -728,13 +737,30 @@ def _assert_sc_witnesses_agree(g, depth):
 
 
 def _count_canonical_forms(monkeypatch):
+    """A list that gets one entry per canonical form the solver makes, of a
+    Graph or of adjacency rows."""
     calls = []
+    for name in ("canonical_form", "canonical_rows"):
+        func = getattr(solver, name)
+
+        def counting(*args, func=func):
+            calls.append(args[0])
+            return func(*args)
+
+        monkeypatch.setattr(solver, name, counting)
+    return calls
+
+
+def _count_graphs(monkeypatch):
+    """A one-item list counting the Graphs constructed."""
+    calls = [0]
+    post_init = Graph.__post_init__
 
     def counting(g):
-        calls.append(g.n)
-        return canonical_form(g)
+        calls[0] += 1
+        post_init(g)
 
-    monkeypatch.setattr(solver, "canonical_form", counting)
+    monkeypatch.setattr(Graph, "__post_init__", counting)
     return calls
 
 
@@ -867,13 +893,7 @@ class TestGraphEnumeration:
 
     def test_only_least_degree_extensions_are_canonized(self, monkeypatch):
         # canonizing every extension took 11,291 calls up to level 7
-        calls = []
-
-        def counted(g):
-            calls.append(g.n)
-            return canonical_form(g)
-
-        monkeypatch.setattr(solver, "canonical_form", counted)
+        calls = _count_canonical_forms(monkeypatch)
         enumerate_graphs(7)
         assert len(calls) == 3132
 
@@ -933,10 +953,11 @@ class TestObstructions:
             assert minimal_obstructions(*args) == want, args
 
     def test_cold_run_canonizes_only_extensions_of_members(self, monkeypatch):
-        # enumerating every graph up to 6 vertices took 499 canonical forms
+        # enumerating every graph up to 6 vertices took 499 canonical forms,
+        # and canonizing every deletion that missed the memo took 140
         calls = _count_canonical_forms(monkeypatch)
         assert repr(minimal_obstructions(1, 2, 6)) == OBSTRUCTION_REPRS[1, 2, 6]
-        assert len(calls) == 140
+        assert len(calls) == 84
 
     def test_decides_each_member_class_and_obstruction_once(self, monkeypatch):
         # 1 + 2 + 4 + 8 + 10 + 14 classes of neighbourhood diversity <= 2 on
@@ -951,7 +972,24 @@ class TestObstructions:
         forms = _count_canonical_forms(monkeypatch)
         decides = _count_decides(monkeypatch)
         assert repr(minimal_obstructions(2, 2, 5)) == OBSTRUCTION_REPRS[2, 2, 5]
-        assert len(forms) <= 94 and len(decides) <= 52
+        assert len(forms) == 94 and len(decides) <= 52
+
+    def test_only_new_classes_become_graphs(self, monkeypatch):
+        # the empty graph and one Graph per class decided: 1 + 39 + 5 for
+        # (1, 2, 6), and 1 + 52 for (2, 2, 5), where every extension and
+        # every deletion that missed the memo took 317 and 147
+        for args, want in (((1, 2, 6), 45), ((2, 2, 5), 53)):
+            calls = _count_graphs(monkeypatch)
+            assert repr(minimal_obstructions(*args)) == OBSTRUCTION_REPRS[args]
+            assert calls[0] == want, args
+
+    def test_degree_sequences_refuse_deletions_before_they_are_canonized(
+            self, monkeypatch):
+        # a deletion whose sorted degree sequence is no member's is refused
+        # without a canonical form; with no such cut this took 3,541
+        calls = _count_canonical_forms(monkeypatch)
+        assert len(minimal_obstructions(2, 2, 7)) == 61
+        assert len(calls) == 3_512
 
     def test_agrees_with_the_deletion_loop_up_to_seven_vertices(self, monkeypatch):
         grid = [(d, m) for d in range(4) for m in range(1, 4)]
