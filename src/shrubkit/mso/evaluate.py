@@ -32,9 +32,23 @@ labels and relations are masks and rows built once per `compile_formula`.
 Connectives are mask operations, and a quantifier nested in the body ORs or
 ANDs the body's masks over its own values.  `ex1` asks whether the mask is
 non-zero and `all1` whether it is full, so `all1 x. all1 y. phi` takes n
-mask operations where a loop per variable makes n^2 closure calls.  Each
-bit is the value the loop would compute for its vertex, so verdicts and the
-block search's cuts are the same.  Nothing in such a body can raise, so the
+mask operations where a loop per variable makes n^2 closure calls.
+
+A nested loop visits only the bits of its guard: the AND of the top-level
+conjuncts `v in S` on its variable v of an ex1's body, or of an all1's
+premise, the form `rewrite_formula` relativizes quantifiers to.  Outside
+the guard the body adds 0 to the OR or full to the AND, and each guard
+atom is compiled with the polarity it has in the body, so in a bound it
+widens exactly as the atom does.  A loop stops once its enclosing test is
+decided: at a full OR or an empty AND, and, where the test asks only
+whether the mask is non-zero (or full), at the first non-zero OR (or
+non-full AND).  That value is cut short, not the mask, so the question
+passes down only where a cut-short value gives the same answer: into a
+directly nested quantifier of the same kind, through Not with the question
+swapped, through And under "full?" and through Or under "non-zero?"; never
+through Implies or Iff, nor into a loop over single values.  So every
+answer is the one a loop per vertex would give, and verdicts and the block
+search's cuts are the same.  Nothing in such a body can raise, so the
 order of evaluation cannot be seen; in a bound nothing raises at all, so
 every first-order quantifier of a bound runs on masks.
 
@@ -52,7 +66,7 @@ the reverse.
 from __future__ import annotations
 
 from ..errors import DomainError, ResourceLimitError, ValidationError
-from ..graph import Graph, adjacency_rows
+from ..graph import Graph, _bits, adjacency_rows
 from ..values import value_class
 from .formulas import (
     AllSet,
@@ -81,6 +95,31 @@ DEFAULT_SET_QUANTIFIER_CAP = 3
 # the node kinds a first-order quantifier's body may hold to run on masks
 _FIRST_ORDER = (TrueConst, FalseConst, Edge, Eq, InSet, ModCount, HasLabel,
                 RelAtom, Not, And, Or, Implies, Iff, ExistsVertex, AllVertex)
+# Not(m) is full exactly when m is zero, and non-zero exactly when m is not
+# full, so Not asks its body the other question
+_SWAP = {ExistsVertex: AllVertex, AllVertex: ExistsVertex}
+# the one test a cut-short side answers for the whole connective
+_KEEPS = {And: AllVertex, Or: ExistsVertex}
+
+
+def _guard(f):
+    """The AND of the top-level conjuncts `v in S` on f's variable v in the
+    body of an ex1 or the premise of an all1, or None when there are none.
+    At a value outside it the body is 0 in the ex1's OR and full in the
+    all1's AND."""
+    part = f.body
+    if type(f) is AllVertex:
+        if type(part) is not Implies:
+            return None
+        part = part.left
+    stack, found = [part], None
+    while stack:
+        g = stack.pop()
+        if type(g) is And:
+            stack += (g.right, g.left)
+        elif type(g) is InSet and g.x == f.var:
+            found = g if found is None else And(found, g)
+    return found
 
 
 @value_class
@@ -95,8 +134,19 @@ class RelStructure:
         for name, rel in (self.relations or {}).items():
             if not name:
                 raise ValidationError("relation name must be non-empty")
+            try:
+                rel = [tuple(pair) for pair in rel]
+            except TypeError:
+                raise ValidationError(
+                    f"relation {name} must be a collection of vertex pairs"
+                ) from None
             closed = set()
-            for u, v in rel:
+            for pair in rel:
+                if len(pair) != 2 or not all(isinstance(v, int) for v in pair):
+                    raise ValidationError(
+                        f"relation {name} holds {pair!r}, not a pair of vertices"
+                    )
+                u, v = pair
                 if not (0 <= u < self.n and 0 <= v < self.n):
                     raise ValidationError(
                         f"relation {name} mentions a vertex outside the graph"
@@ -241,7 +291,7 @@ def compile_formula(
             env.append(None)
             scope = {**scope, f.var: slot}
             if polarity is not None or first_order(f.body):
-                values = compile_mask(f.body, scope, slot, polarity, block)
+                values = compile_mask(f.body, scope, slot, polarity, block, t)
                 if t is ExistsVertex:
                     return lambda: values() != 0
                 return lambda: values() == full
@@ -297,19 +347,30 @@ def compile_formula(
 
         return fail
 
-    def compile_mask(f, scope, var, polarity, block):
+    def compile_mask(f, scope, var, polarity, block, goal=None):
         """A closure for the mask of the values of slot var at which f's
         closure from compile_ would answer True.  f is first-order, or
         polarity is set, so nothing in it raises and no order of evaluation
-        can be seen."""
+        can be seen.
+
+        goal is ExistsVertex when the enclosing test asks only whether the
+        mask is non-zero, AllVertex when it asks only whether it is full,
+        and None when it needs every bit.  Under a goal the closure may
+        return a value cut short, which answers that test as the mask
+        would.  A nested ex1 or all1 loops over the bits of its `_guard`,
+        and over every vertex when it has none."""
         t = type(f)
         flip = None if polarity is None else not polarity
         if t is Not:
-            body = compile_mask(f.body, scope, var, flip, block)
+            body = compile_mask(f.body, scope, var, flip, block, _SWAP.get(goal))
             return lambda: full ^ body()
         if t in (And, Or, Implies) or t is Iff and polarity is None:
-            left = compile_mask(f.left, scope, var, flip if t is Implies else polarity, block)
-            right = compile_mask(f.right, scope, var, polarity, block)
+            # a cut-short side answers "full?" of an AND and "non-zero?" of
+            # an OR as the whole side would, and no other test
+            keep = goal if _KEEPS.get(t) is goal else None
+            left = compile_mask(f.left, scope, var, flip if t is Implies else polarity,
+                                block, keep)
+            right = compile_mask(f.right, scope, var, polarity, block, keep)
             if t is And:
                 return lambda: left() & right()
             if t is Or:
@@ -320,29 +381,47 @@ def compile_formula(
         if t in (ExistsVertex, AllVertex):
             slot = len(env)
             env.append(None)
-            body = compile_mask(f.body, {**scope, f.var: slot}, var, polarity, block)
+            inner = {**scope, f.var: slot}
+            body = compile_mask(f.body, inner, var, polarity, block, goal if goal is t else None)
+            # the guard of an all1 sits in its premise, so it sees the
+            # flipped polarity, and widens exactly as the atom does
+            guard = _guard(f)
+            if guard is None:
+                each = lambda: vertices
+            else:
+                mask = compile_mask(guard, inner, slot, polarity if t is ExistsVertex else flip,
+                                    block)
+                each = lambda: _bits(mask())
 
             # an OR or an AND over the bound slot's values, for every value
-            # of var at once, stopped once no bit can change
-            def exists():
-                acc = 0
-                for v in vertices:
-                    env[slot] = v
-                    acc |= body()
-                    if acc == full:
-                        break
-                return acc
+            # of var at once, stopped once no bit can change or, under a
+            # goal of its own kind, once the enclosing test is decided:
+            # acc >= 1 is acc != 0, and acc <= full - 1 is acc != full
+            if t is ExistsVertex:
+                stop = 1 if goal is t else full
+
+                def exists():
+                    acc = 0
+                    for v in each():
+                        env[slot] = v
+                        acc |= body()
+                        if acc >= stop:
+                            break
+                    return acc
+
+                return exists
+            stop = full - 1 if goal is t else 0
 
             def forall():
                 acc = full
-                for v in vertices:
+                for v in each():
                     env[slot] = v
                     acc &= body()
-                    if not acc:
+                    if acc <= stop:
                         break
                 return acc
 
-            return exists if t is ExistsVertex else forall
+            return forall
         if t in (Edge, Eq, RelAtom) and var in (scope[f.x], scope[f.y]):
             i, j = scope[f.x], scope[f.y]
             other = j if i == var else i
@@ -417,20 +496,31 @@ def compile_formula(
 
     run = compile_(formula, scope)
 
+    def vertex(name, v):
+        # bools pass, as they do for every integer parameter
+        if not isinstance(v, int):
+            raise DomainError(f"assignment for {name} holds {v!r}, not a vertex")
+        if not 0 <= v < n:
+            raise DomainError(f"assignment for {name} leaves the domain")
+        return v
+
     def holds(assignment):
         for slot, name in enumerate(names):
             if name not in assignment:
                 raise DomainError(f"no assignment for {name}")
             value = assignment[name]
             if name and name[0].isupper():
-                mask = 0
-                for v in value:
-                    if not 0 <= v < n:
-                        raise DomainError(f"assignment for {name} leaves the domain")
-                    mask |= 1 << v
-                value = mask
-            elif not 0 <= value < n:
-                raise DomainError(f"assignment for {name} leaves the domain")
+                try:
+                    members = iter(value)
+                except TypeError:
+                    raise DomainError(
+                        f"assignment for {name} must be a collection of vertices"
+                    ) from None
+                value = 0
+                for v in members:
+                    value |= 1 << vertex(name, v)
+            else:
+                value = vertex(name, value)
             env[slot] = value
         return run()
 

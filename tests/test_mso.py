@@ -1,6 +1,7 @@
 """Logic engine: formulas, parsing, evaluation, interpretations, transductions."""
 
 import dataclasses
+import functools
 import importlib
 import itertools
 import pickle
@@ -130,6 +131,13 @@ BLOCK_SENTENCES = {
     ),
 }
 
+# first-order quantifiers relativized to a set, as rewrite_formula writes
+# them, in the bounds of an all2 block and beside a literal under all1
+RELATIVIZED_SENTENCES = [
+    "all2 X. ex1 x. all1 y. (y in X -> edge(x, y))",
+    "ex2 X. (ex1 x. x in X) & (ex1 x. !(x in X)) & "
+    "all1 x. (x in X | all1 y. (y in X -> !edge(x, y)))",
+]
 
 FO_NAMES = ("x", "y", "z")
 SET_NAMES = ("X", "Y")
@@ -162,6 +170,69 @@ def _compound(sub):
 # binders draw from three first-order and two set names, so they shadow
 # each other and the free names the assignment gives values to
 FORMULAS = st.recursive(_atoms, _compound, max_leaves=10)
+
+
+@st.composite
+def relativized_formulas(draw):
+    """A first-order quantifier whose body holds one or two levels of loops:
+    quantifiers relativized to sets as rewrite_formula writes them,
+    `ex1 v. (v in S & phi)` and `all1 v. ((v in S & psi) -> phi)`, and
+    chains of like quantifiers.  The loops stand alone, negated or beside a
+    literal, so that the quantifier's test of its mask reaches them; the
+    whole may sit under Not and set quantifiers, whose search bounds it."""
+
+    # hypothesis leans to the first of each choice, so each list of
+    # choices starts with one that reads the loops' variables
+
+    def literal(x, y):
+        # an atom on x and, mostly, y, or its negation
+        y = draw(st.sampled_from((y, *FO_NAMES)))
+        kind = draw(st.sampled_from((Edge, Eq, InSet, HasLabel, RelAtom)))
+        if kind is InSet:
+            atom = InSet(x, draw(_set))
+        elif kind is HasLabel:
+            atom = HasLabel(draw(st.sampled_from(("a", "b"))), x)
+        else:
+            atom = RelAtom("near", x, y) if kind is RelAtom else kind(x, y)
+        return Not(atom) if draw(st.booleans()) else atom
+
+    def small(v, outer):
+        op = draw(st.sampled_from((None, And, Or, Implies, Iff)))
+        left = literal(v, outer)
+        return left if op is None else op(left, literal(outer, v))
+
+    def guard(v):
+        return functools.reduce(And, [InSet(v, name) for name in
+                                      draw(st.lists(_set, min_size=1, max_size=2))])
+
+    def other(v):
+        # a binder that shadows the one just outside it reads nothing new
+        return draw(st.sampled_from([w for w in FO_NAMES if w != v]))
+
+    def loop(depth, outer):
+        v = other(outer)
+        kind = draw(st.sampled_from(("all1", "ex1", "all1 all1", "ex1 ex1")))
+        if kind == "all1":
+            premise = And(guard(v), small(v, outer)) if draw(st.booleans()) else guard(v)
+            return AllVertex(v, Implies(premise, loop(depth - 1, v) if depth > 1
+                                        else small(v, outer)))
+        if kind == "ex1":
+            return ExistsVertex(v, And(guard(v), loop(depth - 1, v) if depth > 1
+                                       else small(v, outer)))
+        w = other(v)
+        q = AllVertex if kind == "all1 all1" else ExistsVertex
+        return q(v, q(w, loop(depth - 1, w) if depth > 1 else small(w, v)))
+
+    top = draw(_fo)
+    inner = loop(draw(st.integers(1, 2)), top)
+    op = draw(st.sampled_from((Or, And, Not, None)))
+    body = inner if op is None else Not(inner) if op is Not else op(
+        literal(top, other(top)), inner)
+    phi = draw(st.sampled_from((AllVertex, ExistsVertex)))(top, body)
+    for _ in range(draw(st.integers(0, 2))):
+        wrap = draw(st.sampled_from((AllSet, ExistsSet, Not)))
+        phi = Not(phi) if wrap is Not else wrap(draw(_set), phi)
+    return phi
 
 
 class Mystery(Formula):
@@ -623,8 +694,39 @@ class TestEvaluate:
         want = reference_evaluate(s, phi, fo, sets)
         assert evaluate(s, phi, {**fo, **sets}) == want
 
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(phi=relativized_formulas(), data=st.data())
+    def test_relativized_quantifiers_agree_with_reference(self, phi, data):
+        # guarded loops and loops stopped once the enclosing test is
+        # decided, exact and in the bounds of the block search
+        n = data.draw(st.integers(0, 5))
+        free_fo, _ = free_vars(phi)
+        assume(n or not free_fo)
+
+        def subset(items):
+            # one mask, so that a full subset is drawn as often as an empty one
+            mask = data.draw(st.integers(0, (1 << len(items)) - 1))
+            return [item for i, item in enumerate(items) if mask >> i & 1]
+
+        pairs = list(itertools.combinations(range(n), 2))
+        labels = {v: subset(["a", "b"]) for v in range(n)}
+        near = subset(pairs)
+        fo = {name: data.draw(st.integers(0, n - 1)) for name in FO_NAMES} if n else {}
+        sets = {name: frozenset(subset(range(n))) for name in SET_NAMES}
+        # a drawn graph on 4 or 5 vertices, and every graph on fewer
+        if n > 3:
+            graphs = [subset(pairs)]
+        else:
+            graphs = [[p for i, p in enumerate(pairs) if mask >> i & 1]
+                      for mask in range(1 << len(pairs))]
+        for edges in graphs:
+            s = RelStructure(Graph(n, edges, labels), {"near": near})
+            want = reference_evaluate(s, phi, fo, sets)
+            assert evaluate(s, phi, {**fo, **sets}) == want, (s, format_formula(phi))
+
     def test_agrees_with_reference_on_every_graph_up_to_5_vertices(self):
-        phis = [parse_formula(t) for t in [*CORPUS, *BLOCK_SENTENCES.values()]]
+        phis = [parse_formula(t) for t in
+                [*CORPUS, *BLOCK_SENTENCES.values(), *RELATIVIZED_SENTENCES]]
         for n in range(1, 6):
             for g in enumerate_graphs(n):
                 for phi in phis:
@@ -703,8 +805,8 @@ class TestEvaluate:
                 assert edge_tests[0] == 0
                 assert value == reference_evaluate(g, phi), (g, text)
             got[key] = row_reads[0]
-        assert got == {0: 0, 1: 0, 2: 56, 3: 56, 4: 47, 5: 47, 6: 56, 7: 618,
-                       14: 371, 15: 47, 18: 93}
+        assert got == {0: 0, 1: 0, 2: 29, 3: 56, 4: 47, 5: 24, 6: 56, 7: 507,
+                       14: 371, 15: 24, 18: 65}
 
     def test_edge_tests_of_the_block_search_are_pinned(self, edge_tests, row_reads):
         # set quantifiers are decided vertex by vertex with cuts, so the
@@ -723,9 +825,9 @@ class TestEvaluate:
             got[key] = row_reads[0]
         assert edge_tests[0] == 0
         assert got == {
-            8: 0, 9: 0, 10: 222, 11: 0, 12: 0, 13: 2232, 16: 0, 17: 0, 19: 43,
-            "colourable_2": 978, "colourable_3": 1045, "pairs_touch": 2178,
-            "connected": 723, "odd_kernel": 894,
+            8: 0, 9: 0, 10: 222, 11: 0, 12: 0, 13: 813, 16: 0, 17: 0, 19: 43,
+            "colourable_2": 635, "colourable_3": 560, "pairs_touch": 2178,
+            "connected": 611, "odd_kernel": 393,
         }
 
     def test_colourable_3_on_k4_plus_a_tail(self, row_reads):
@@ -734,12 +836,24 @@ class TestEvaluate:
         # K4 on 0-3 and a path 3-4-...-11: cut at vertex 3 of every branch
         g = Graph(12, [*k4, *((v, v + 1) for v in range(3, 11))])
         assert not evaluate(g, phi)
-        assert row_reads[0] == 2184
+        assert row_reads[0] == 505
         # a path 0-1-...-6 and K4 on 6-9: every colouring of the path is tried
         row_reads[0] = 0
         g = Graph(10, [*((v, v + 1) for v in range(6)), *((a + 6, b + 6) for a, b in k4)])
         assert not evaluate(g, phi)
-        assert row_reads[0] == 392840
+        assert row_reads[0] == 297317
+
+    def test_the_slowest_benchmark_sentences_are_pinned(self, row_reads):
+        # the mso-logic benchmark's two slowest checks, as adjacency row reads
+        phi = parse_formula(BLOCK_SENTENCES["odd_kernel"])
+        k66 = Graph(12, [(a, 6 + b) for a in range(6) for b in range(6)])
+        assert not evaluate(k66, phi)
+        assert row_reads[0] == 3750
+        row_reads[0] = 0
+        phi = parse_formula(BLOCK_SENTENCES["colourable_3"])
+        k4_pendant = Graph(5, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4)])
+        assert not evaluate(k4_pendant, phi)
+        assert row_reads[0] == 330
 
     def test_missing_relation_raises_only_when_reached(self):
         s = RelStructure(make_path(2), {"near": [(0, 1)]})

@@ -25,6 +25,7 @@ from shrubkit import (
 )
 from shrubkit.mso import (
     Interpretation,
+    RelStructure,
     Transduction,
     apply_interpretation,
     apply_transduction,
@@ -86,6 +87,19 @@ REFUSALS = {
                                lambda: evaluate("P3", parse_formula("true"))),
     "set-leaves-domain": (DomainError, lambda: evaluate(
         P3, parse_formula("ex1 x. x in X"), {"X": [3]})),
+    "vertex-not-int": (DomainError, lambda: evaluate(
+        P3, parse_formula("x = x"), {"x": "0"})),
+    "vertex-float": (DomainError, lambda: evaluate(
+        P3, parse_formula("x = x"), {"x": 1.5})),
+    "set-not-iterable": (DomainError, lambda: evaluate(
+        P3, parse_formula("x in X"), {"x": 0, "X": 5})),
+    "set-member-not-int": (DomainError, lambda: evaluate(
+        P3, parse_formula("ex1 x. x in X"), {"X": ["a"]})),
+    "relation-not-iterable": (ValidationError, lambda: RelStructure(P3, {"r": 5})),
+    "relation-member-not-int": (ValidationError,
+                                lambda: RelStructure(P3, {"r": [("a", 1)]})),
+    "relation-triple": (ValidationError, lambda: RelStructure(P3, {"r": [(0, 1, 2)]})),
+    "relation-float": (ValidationError, lambda: RelStructure(P3, {"r": [(0.0, 1)]})),
     "interpretation-too-many-free": (ValidationError,
                                      lambda: Interpretation(EDGE, EDGE)),
     "domain-uses-others": (ValidationError,
