@@ -3,15 +3,20 @@
 Verdict-bearing commands print a one-line machine-readable verdict first.
 Exit codes: 0 success / YES, 1 NO or failed verification, 2 any error.
 `SHRUBKIT_CAPS` (comma-separated name=value) overrides resource caps.
+
+A plain, valid command line is read straight from the command table by
+`_table_args`; help, usage errors and every other spelling go to the
+argparse parser of the whole table, so their bytes and exit codes are
+argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from functools import cache, partial
+from types import SimpleNamespace
 
 from . import constructions, depth, lincw, sc_model, solver, tree_model
 from .errors import ShrubError, ValidationError
@@ -152,72 +157,95 @@ def _command(path, *arguments, **options):
     return register
 
 
-class _Subcommands(argparse._SubParsersAction):
-    """Subcommands whose parsers are built on their first dispatch.
-
-    `register` files a build function under the name, and the name's help
-    line, if any, for the help listing.  Usage lines and invalid-choice
-    messages read only the names, so they print as they would for parsers
-    made by `add_parser`.
-    """
-
-    def register(self, name, build, help=None):
-        self._name_parser_map[name] = build
-        if help is not None:
-            self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]
-        build = self._name_parser_map[name]
-        if not isinstance(build, argparse.ArgumentParser):
-            self._name_parser_map[name] = build(f"{self._prog_prefix} {name}")
-        super().__call__(parser, namespace, values, option_string)
-
-
-def _add_commands(parser, group, dest):
-    """Register the commands of `group` ("" for the top level) on `parser`,
-    in table order; at the top level each group is one command."""
-    commands = parser.add_subparsers(dest=dest, required=True, action=_Subcommands)
-    for path_group, name, arguments, options, handler in _COMMANDS:
-        if path_group == group:
-            options = dict(options)
-            help_text = options.pop("help", None)
-            build = partial(_leaf_parser, arguments, options, handler)
-            commands.register(name, build, help_text)
-        elif not group and path_group not in commands.choices:
-            build = partial(_group_parser, path_group)
-            commands.register(path_group, build, _GROUPS[path_group][1])
-
-
-def _group_parser(group, prog):
-    parser = argparse.ArgumentParser(prog=prog)
-    _add_commands(parser, group, _GROUPS[group][0])
-    return parser
-
-
-def _leaf_parser(arguments, options, handler, prog):
-    leaf = argparse.ArgumentParser(prog=prog, **options)
-    for flags, kwargs in arguments:
-        leaf.add_argument(*flags, **kwargs)
-    leaf.set_defaults(run=handler)
-    return leaf
+_FORMATS = ("text", "structured")
 
 
 @cache
 def _build_parser():
-    """The one top-level parser of this process, built on the first call of
-    `main`; a group's or a command's parser is built the first time a call
-    dispatches to it, and kept.
+    """The argparse parser of the whole table, built the first time a call
+    is not one `_table_args` reads (help, a usage error or any other
+    spelling), and kept.  argparse is imported here, so a valid call never
+    imports it.
 
-    Reusing them is safe: argparse keeps each call's state in the namespace
-    it returns, and the handlers look their callees up when they run.
+    Reusing the parser is safe: argparse keeps each call's state in the
+    namespace it returns, and the handlers look their callees up when they
+    run.
     """
+    import argparse
+
     description = "Tree-models, SC-trees, conversions, solvers, and logic."
     top = argparse.ArgumentParser(prog="shrubkit", description=description)
-    top.add_argument("--format", choices=("text", "structured"), default="text",
+    top.add_argument("--format", choices=_FORMATS, default="text",
                      help="verdict output style")
-    _add_commands(top, "", "command")
+    commands = top.add_subparsers(dest="command", required=True)
+    groups = {}
+    for group, name, arguments, options, handler in _COMMANDS:
+        if group and group not in groups:
+            dest, help_text = _GROUPS[group]
+            group_parser = commands.add_parser(group, help=help_text)
+            groups[group] = group_parser.add_subparsers(dest=dest, required=True)
+        leaf = (groups[group] if group else commands).add_parser(name, **options)
+        for flags, kwargs in arguments:
+            leaf.add_argument(*flags, **kwargs)
+        leaf.set_defaults(run=handler)
     return top
+
+
+def _table_args(argv):
+    """The namespace argparse returns for a plain, valid `argv`, read
+    straight from `_COMMANDS`, or None for any other argv.
+
+    Plain means an optional leading `--format text|structured`, the exact
+    group and command words, then exact `flag value` pairs, each value
+    non-empty and not starting with "-".  An int option's value is read with
+    `int`, as argparse reads it; an append option appends to a copy of its
+    default, and otherwise the last value of a repeated flag wins.  Every
+    other argv, help and every refusal included, returns None and goes to
+    argparse, so this path never refuses a call.  It reads the argument
+    options the table uses: dest, default, required, type=int and
+    action="append".
+    """
+    fields = {"format": "text"}
+    if len(argv) > 1 and argv[0] == "--format" and argv[1] in _FORMATS:
+        fields["format"] = argv[1]
+        argv = argv[2:]
+    for group, name, arguments, _, handler in _COMMANDS:
+        words = [group, name] if group else [name]
+        if argv[:len(words)] == words:
+            break
+    else:
+        return None
+    fields["command"] = words[0]
+    if group:
+        fields[_GROUPS[group][0]] = name
+    by_flag, missing = {}, set()
+    for flags, options in arguments:
+        long = [flag for flag in flags if flag.startswith("--")]
+        dest = options.get("dest") or (long or flags)[0].lstrip("-").replace("-", "_")
+        fields[dest] = options.get("default")
+        by_flag.update(dict.fromkeys(flags, (dest, options)))
+        if options.get("required"):
+            missing.add(dest)
+    pairs = argv[len(words):]
+    if len(pairs) % 2:
+        return None
+    for flag, value in zip(pairs[::2], pairs[1::2]):
+        if flag not in by_flag or value[:1] in ("", "-"):
+            return None
+        dest, options = by_flag[flag]
+        if options.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if options.get("action") == "append":
+            value = [*(fields[dest] or ()), value]
+        fields[dest] = value
+        missing.discard(dest)
+    if missing:
+        return None
+    fields["run"] = handler
+    return SimpleNamespace(**fields)
 
 
 def _parse_labeling(items):
@@ -473,7 +501,8 @@ def _reduce_tree(args, caps, structured):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _table_args(argv) or _build_parser().parse_args(argv)
     try:
         return args.run(args, _caps_from_env(), args.format == "structured") or 0
     except (ShrubError, OSError) as exc:

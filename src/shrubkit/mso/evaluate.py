@@ -65,6 +65,8 @@ the reverse.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from ..errors import DomainError, ResourceLimitError, ValidationError
 from ..graph import Graph, _bits, adjacency_rows
 from ..values import value_class
@@ -86,6 +88,7 @@ from .formulas import (
     Or,
     RelAtom,
     TrueConst,
+    _check_name,
     _summary,
 )
 
@@ -130,10 +133,16 @@ class RelStructure:
     relations: dict = None
 
     def __post_init__(self):
+        if not isinstance(self.graph, Graph):
+            raise ValidationError(
+                f"a RelStructure is built on a Graph, not {type(self.graph).__name__}"
+            )
+        relations = self.relations or {}
+        if not isinstance(relations, Mapping):
+            raise ValidationError("relations must map each name to its vertex pairs")
         pairs = {}
-        for name, rel in (self.relations or {}).items():
-            if not name:
-                raise ValidationError("relation name must be non-empty")
+        for name, rel in relations.items():
+            _check_name(name, "relation")
             try:
                 rel = [tuple(pair) for pair in rel]
             except TypeError:

@@ -100,6 +100,12 @@ REFUSALS = {
                                 lambda: RelStructure(P3, {"r": [("a", 1)]})),
     "relation-triple": (ValidationError, lambda: RelStructure(P3, {"r": [(0, 1, 2)]})),
     "relation-float": (ValidationError, lambda: RelStructure(P3, {"r": [(0.0, 1)]})),
+    "structure-not-graph": (ValidationError, lambda: evaluate(
+        RelStructure("x"), parse_formula("true"))),
+    "relations-not-mapping": (ValidationError,
+                              lambda: RelStructure(Graph(2), [("r", [(0, 1)])])),
+    "relation-name-not-str": (ValidationError,
+                              lambda: RelStructure(Graph(2), {5: [(0, 1)]})),
     "interpretation-too-many-free": (ValidationError,
                                      lambda: Interpretation(EDGE, EDGE)),
     "domain-uses-others": (ValidationError,
