@@ -16,6 +16,11 @@ def _whole(**params):
             raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+def _index(value, n):
+    """Whether value is an int in 0..n-1, an id among n items; bools pass."""
+    return isinstance(value, int) and 0 <= value < n
+
+
 class ValidationError(ShrubError):
     """A structure (graph, tree, model, file) is malformed."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import field
 from itertools import combinations
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _index
 from .values import value_class
 
 MAX_TEXT_VERTICES = 100_000
@@ -38,21 +38,22 @@ class Graph:
 
     def __post_init__(self):
         n, edges, labels = self.n, self.edges, self.labels
-        if n < 0:
-            raise ValidationError(f"vertex count must be >= 0, got {n}")
+        if not isinstance(n, int) or n < 0:
+            raise ValidationError(f"vertex count must be an integer >= 0, got {n!r}")
         edge_set = set()
         for e in edges:
             u, v = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"edge {e} out of range for n={n}")
+            if not (isinstance(u, int) and isinstance(v, int)
+                    and 0 <= u < n and 0 <= v < n):
+                raise ValidationError(f"edge {e} is not a pair of vertex ids for n={n}")
             if u == v:
                 raise ValidationError(f"loop at vertex {u} is not allowed")
             edge_set.add((u, v) if u < v else (v, u))
         label_map = {}
         if labels:
             for v, names in labels.items():
-                if not 0 <= v < n:
-                    raise ValidationError(f"label on missing vertex {v}")
+                if not _index(v, n):
+                    raise ValidationError(f"label on missing vertex {v!r}")
                 names = frozenset(str(name) for name in names)
                 if names:
                     label_map[v] = names
@@ -91,8 +92,8 @@ def complement_on_subset(g, x):
     """Flip the adjacency of every vertex pair inside x; pairs leaving x stay."""
     x = set(x)
     for v in x:
-        if not 0 <= v < g.n:
-            raise DomainError(f"subset vertex {v} not in graph")
+        if not _index(v, g.n):
+            raise DomainError(f"subset vertex {v!r} not in graph")
     edges = set(g.edges)
     flip_inside(edges, x)
     return Graph(g.n, edges, g.labels)
@@ -108,10 +109,11 @@ def induced_subgraph(g, keep):
 
     Returns (subgraph, id_map) where id_map[new] = old.
     """
-    keep = sorted(set(keep))
+    keep = set(keep)
     for v in keep:
-        if not 0 <= v < g.n:
-            raise DomainError(f"vertex {v} not in graph")
+        if not _index(v, g.n):
+            raise DomainError(f"vertex {v!r} not in graph")
+    keep = sorted(keep)
     pos = {old: new for new, old in enumerate(keep)}
     edges = [
         (pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos
@@ -124,7 +126,8 @@ def relabel_graph(g, perm):
     """Rename vertices by perm (perm[old] = new, a bijection on 0..n-1)."""
     vertices = list(range(g.n))
     # sorted(perm) reads a dict's keys but a list's values: test the values too
-    if sorted(perm) != vertices or sorted(perm[v] for v in vertices) != vertices:
+    if (sorted(perm) != vertices or sorted(perm[v] for v in vertices) != vertices
+            or not all(isinstance(perm[v], int) for v in vertices)):
         raise DomainError("perm is not a bijection on the vertex set")
     edges = [(perm[u], perm[v]) for u, v in g.edges]
     labels = {perm[v]: names for v, names in g.labels.items()}
@@ -231,10 +234,12 @@ def canonical_form(g):
     and candidates of one cell with equal rows and equal rows among the
     unplaced vertices are interchangeable, so only the first is explored.
     """
-    names = None
-    if g.labels:
-        names = [tuple(sorted(g.vertex_labels(v))) for v in range(g.n)]
-    return canonical_rows(g._rows, names)
+    return canonical_rows(g._rows, _label_names(g))
+
+
+def _label_names(g):
+    """Per vertex, its sorted label names, or None if g has no labels."""
+    return [tuple(sorted(g.vertex_labels(v))) for v in range(g.n)] if g.labels else None
 
 
 def canonical_rows(rows, names=None):

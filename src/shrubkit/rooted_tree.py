@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import field
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _index
 from .values import value_class
 
 
@@ -31,6 +31,9 @@ class RootedTree:
         n = len(parent)
         if n == 0:
             raise ValidationError("a rooted tree needs at least one node")
+        for i, p in enumerate(parent):
+            if not isinstance(p, int):
+                raise ValidationError(f"node {i} has parent {p!r}, not an integer")
         roots = [i for i, p in enumerate(parent) if p == -1]
         if len(roots) != 1:
             raise ValidationError(f"expected exactly one root, found {len(roots)}")
@@ -144,7 +147,11 @@ def subtree_on(tree, keep):
     Node ids are renumbered in ascending order of the kept original ids.
     Returns (tree, kept) with kept[new] = old.
     """
-    kept = sorted(set(keep))
+    kept = set(keep)
+    for v in kept:
+        if not _index(v, tree.n):
+            raise DomainError(f"kept node {v!r} is not in the tree")
+    kept = sorted(kept)
     pos = {old: new for new, old in enumerate(kept)}
     parent = []
     for old in kept:

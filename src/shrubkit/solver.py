@@ -32,16 +32,12 @@ from __future__ import annotations
 from .errors import DomainError, ResourceLimitError, ValidationError, _whole
 from .graph import (
     Graph,
+    _bits,
+    _label_names,
     adjacency_rows,
-    canonical_form,
     canonical_rows,
-    complement_on_subset,
-    components,
-    induced_subgraph,
     mask_components,
-    relabel_graph,
     twin_classes,
-    twin_partition,
 )
 from .rooted_tree import RootedTree
 from .sc_model import SCTree, fold_sc, verify_sc
@@ -284,9 +280,9 @@ def _decide(g, depth, m, max_block=None):
     n = g.n
     m = min(m, n)
     limit = n if max_block is None else max_block
-    if depth <= 1:
-        return n <= (limit if depth else 1) and len(twin_partition(g)) <= m
     rows = adjacency_rows(g)
+    if depth <= 1:
+        return n <= (limit if depth else 1) and len(twin_classes(rows)) <= m
     levels = depth - 1
     # one bit per unordered color pair
     pair_bit = [[1 << min(a, b) * m + max(a, b) for b in range(m)] for a in range(m)]
@@ -407,12 +403,17 @@ def _relabel_sc(t, mapping):
     )
 
 
-def _clique_vertices(g):
-    """Sorted endpoints of g's edges if the edges are every pair among them
-    (g is a clique plus isolated vertices), else None."""
-    ends = sorted({v for e in g.edges for v in e})
-    k = len(ends)
-    return ends if len(g.edges) == k * (k - 1) // 2 else None
+def _clique_vertices(rows):
+    """Sorted endpoints of the edges if the edges are every pair among them
+    (a clique plus isolated vertices), else None."""
+    ends = [v for v, row in enumerate(rows) if row]
+    return ends if all(rows[v].bit_count() == len(ends) - 1 for v in ends) else None
+
+
+def _sub_rows(rows, verts):
+    """The rows of the subgraph induced on verts, with verts[i] renumbered i."""
+    return tuple(sum(1 << i for i, w in enumerate(verts) if rows[v] >> w & 1)
+                 for v in verts)
 
 
 def sc_membership(g, depth, cap=DEFAULT_SC_CAP):
@@ -436,7 +437,8 @@ def sc_membership(g, depth, cap=DEFAULT_SC_CAP):
     its witness lists the leaves in canonical order.  Every step is a
     generator run by `_drive`, so a large budget does not overflow the stack.
     The witness is checked against g, labels aside, before it is returned;
-    one that fails raises ValidationError.
+    one that fails raises ValidationError.  The recursion runs on adjacency
+    rows and per-vertex label names, so only that check builds a Graph.
     """
     _whole(depth=depth, cap=cap)
     if depth < 0:
@@ -445,47 +447,41 @@ def sc_membership(g, depth, cap=DEFAULT_SC_CAP):
     memo = {}
     fits = {}  # (component rows, height) -> whether it is in SC(height)
 
-    def member(h, budget):
-        if h.n == 1:
+    def member(rows, names, budget):
+        if len(rows) == 1:
             return SCTree.leaf(0)
         if budget == 0:
             return None
-        if budget == 1 and _clique_vertices(h) is None:
+        if budget == 1 and _clique_vertices(rows) is None:
             return None
-        key, perm = canonical_form(h)
-        if (key, budget) in memo:
-            witness = memo[key, budget]
-        else:
-            hc = relabel_graph(h, perm)
-            witness = yield _member_canonical(hc, budget)
-            memo[key, budget] = witness
-        if witness is None:
-            return None
-        inverse = [0] * h.n
-        for old, new in perm.items():
-            inverse[new] = old
-        return _relabel_sc(witness, inverse)
+        key, perm = canonical_rows(rows, names)
+        order = sorted(perm, key=perm.get)  # order[new] = old
+        if (key, budget) not in memo:
+            memo[key, budget] = yield _member_canonical(
+                _sub_rows(rows, order), names and [names[v] for v in order], budget)
+        witness = memo[key, budget]
+        return None if witness is None else _relabel_sc(witness, order)
 
-    def _member_canonical(hc, budget):
-        n = hc.n
+    def _member_canonical(rows, names, budget):
+        n = len(rows)
         if budget == 1:
             # the least X whose flip leaves every component in SC(0): none if
-            # hc has no edges, else the clique, the only X leaving no edge
+            # the graph has no edges, else the clique, the only X leaving no edge
             leaves = [SCTree.leaf(v) for v in range(n)]
-            return SCTree.inner(leaves, _clique_vertices(hc))
-        mask = yield _sc_prefix(adjacency_rows(hc), budget, fits, n - 1, 0)
+            return SCTree.inner(leaves, _clique_vertices(rows))
+        mask = yield _sc_prefix(rows, budget, fits, n - 1, 0)
         if mask is None:
             return None
-        x = [v for v in range(n) if mask >> v & 1]
-        flipped = complement_on_subset(hc, x)
+        flip = [r ^ mask ^ 1 << v if mask >> v & 1 else r for v, r in enumerate(rows)]
         children = []
-        for comp in components(flipped):
-            sub, ids = induced_subgraph(flipped, comp)
-            sub_witness = yield member(sub, budget - 1)
-            children.append(_relabel_sc(sub_witness, dict(enumerate(ids))))
-        return SCTree.inner(children, x)
+        for comp in mask_components(flip, (1 << n) - 1):
+            ids = _bits(comp)
+            sub_witness = yield member(
+                _sub_rows(flip, ids), names and [names[v] for v in ids], budget - 1)
+            children.append(_relabel_sc(sub_witness, ids))
+        return SCTree.inner(children, _bits(mask))
 
-    witness = _drive(member(g, depth))
+    witness = _drive(member(adjacency_rows(g), _label_names(g), depth))
     if witness is not None and (not verify_sc(witness, g) or witness.height > depth):
         raise ValidationError("the SC witness does not denote the graph")
     return witness
@@ -525,8 +521,7 @@ def _sc_prefix(rows, h, fits, t, x):
                 ok = h == 2 and all(flip[v].bit_count() == len(verts) - 1
                                     for v in verts)
             else:
-                sub = tuple(sum(1 << i for i, w in enumerate(verts) if flip[v] >> w & 1)
-                            for v in verts)
+                sub = _sub_rows(flip, verts)
                 ok = fits.get((sub, h - 1))
                 if ok is None:
                     found = yield _sc_prefix(sub, h - 1, fits, len(sub) - 1, 0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import chain
 from operator import itemgetter
 
-from .errors import DomainError, SignatureConflict, ValidationError
+from .errors import DomainError, SignatureConflict, ValidationError, _index
 from .graph import Graph
 from .rooted_tree import RootedTree, check_record, dump_json, flatten_records, load_json, subtree_on
 from .values import value_class
@@ -143,12 +143,12 @@ def infer_signature(tree, leaf_vertex, leaf_color, g):
 
 def restrict(model, keep):
     """Model of the induced subgraph on `keep` (ids renumbered ascending)."""
-    keep = sorted(set(keep))
+    keep = set(keep)
     if not keep:
         raise DomainError("keep must contain at least one vertex")
-    if not all(0 <= v < model.n for v in keep):
+    if not all(_index(v, model.n) for v in keep):
         raise DomainError("keep contains vertices outside the realized graph")
-    pos = {old: new for new, old in enumerate(keep)}
+    pos = {old: new for new, old in enumerate(sorted(keep))}
     kept_nodes = set()
     for u, vert in model.leaf_vertex.items():
         if vert in pos:

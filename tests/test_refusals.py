@@ -19,7 +19,9 @@ from shrubkit import (
     infer_signature,
     minimal_obstructions,
     model_from_text,
+    path_model,
     relabel_graph,
+    restrict,
     subtree_on,
     tm_membership,
 )
@@ -60,12 +62,21 @@ REFUSALS = {
                           lambda: graph_from_text("2\nlabel x a\n")),
     "edge-line-end": (ValidationError, lambda: graph_from_text("2\n0 x\n")),
     "row-bits": (ValidationError, lambda: graph_from_text(WIDE_ROWS)),
+    "vertex-count-float": (ValidationError, lambda: Graph(2.5)),
+    "edge-end-float": (ValidationError, lambda: Graph(2, [(0.0, 1)])),
+    "label-vertex-str": (ValidationError, lambda: Graph(2, [], {"a": ["x"]})),
+    "complement-str": (DomainError, lambda: complement_on_subset(P3, ["a"])),
+    "induced-float": (DomainError, lambda: induced_subgraph(P3, [1.5])),
+    "relabel-float": (DomainError,
+                      lambda: relabel_graph(P3, {0: 1.0, 1: 0.0, 2: 2.0})),
     # rooted_tree
     "parent-out-of-range": (ValidationError, lambda: RootedTree([-1, 5])),
+    "parent-float": (ValidationError, lambda: RootedTree([-1, 0.0])),
     "extend-path-negative": (DomainError,
                              lambda: RootedTree([-1]).extend_path(0, -1)),
     "subtree-drops-parent": (DomainError,
                              lambda: subtree_on(RootedTree([-1, 0, 1]), [0, 2])),
+    "subtree-float": (DomainError, lambda: subtree_on(RootedTree([-1, 0]), [0.5])),
     # tree_model
     "model-depth-negative": (ValidationError, lambda: _model(depth=-1)),
     "model-no-colours": (ValidationError, lambda: _model(colors=0)),
@@ -75,6 +86,7 @@ REFUSALS = {
         RootedTree([-1, 0]), {1: 5}, {1: 1}, Graph(1))),
     "model-empty-children": (ValidationError,
                              lambda: model_from_text(EMPTY_INTERNAL)),
+    "restrict-float": (DomainError, lambda: restrict(path_model(1), [0.5])),
     # solver and constructions
     "tm-depth-negative": (DomainError, lambda: tm_membership(P3, -1, 1)),
     "enumerate-negative": (DomainError, lambda: enumerate_graphs(-1)),

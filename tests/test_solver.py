@@ -737,17 +737,16 @@ def _assert_sc_witnesses_agree(g, depth):
 
 
 def _count_canonical_forms(monkeypatch):
-    """A list that gets one entry per canonical form the solver makes, of a
-    Graph or of adjacency rows."""
+    """A list that gets one entry, the adjacency rows, per canonical form
+    the solver makes."""
     calls = []
-    for name in ("canonical_form", "canonical_rows"):
-        func = getattr(solver, name)
+    func = solver.canonical_rows
 
-        def counting(*args, func=func):
-            calls.append(args[0])
-            return func(*args)
+    def counting(*args):
+        calls.append(args[0])
+        return func(*args)
 
-        monkeypatch.setattr(solver, name, counting)
+    monkeypatch.setattr(solver, "canonical_rows", counting)
     return calls
 
 
@@ -862,6 +861,16 @@ class TestScPrefixSearch:
         calls[0] = 0
         assert sc_membership(g, 4) is not None
         assert calls[0] == 55_792
+
+    def test_only_the_checked_witness_becomes_a_graph(self, monkeypatch):
+        # the recursion runs on adjacency rows, and verify_sc evaluates the
+        # witness to the one Graph of a YES; with a Graph per canonical form,
+        # flip and component this took 18, 1 and 899
+        g = random_graph(random_seeded(99), 9)
+        for h, depth, want in ((g, 4, 1), (g, 3, 0), (make_clique(2), 300, 1)):
+            calls = _count_graphs(monkeypatch)
+            sc_membership(h, depth)
+            assert calls[0] == want, depth
 
     def test_nine_vertices_at_height_four(self):
         g = random_graph(random_seeded(99), solver.DEFAULT_SC_CAP)
