@@ -42,7 +42,10 @@ class Graph:
             raise ValidationError(f"vertex count must be an integer >= 0, got {n!r}")
         edge_set = set()
         for e in edges:
-            u, v = e
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ValidationError(f"edge {e!r} is not a pair of vertex ids") from None
             if not (isinstance(u, int) and isinstance(v, int)
                     and 0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge {e} is not a pair of vertex ids for n={n}")
@@ -54,7 +57,12 @@ class Graph:
             for v, names in labels.items():
                 if not _index(v, n):
                     raise ValidationError(f"label on missing vertex {v!r}")
-                names = frozenset(str(name) for name in names)
+                try:
+                    names = frozenset(str(name) for name in names)
+                except TypeError:
+                    raise ValidationError(
+                        f"labels of vertex {v} must be a collection of names"
+                    ) from None
                 if names:
                     label_map[v] = names
         edges = tuple(sorted(edge_set))
@@ -125,9 +133,15 @@ def induced_subgraph(g, keep):
 def relabel_graph(g, perm):
     """Rename vertices by perm (perm[old] = new, a bijection on 0..n-1)."""
     vertices = list(range(g.n))
-    # sorted(perm) reads a dict's keys but a list's values: test the values too
-    if (sorted(perm) != vertices or sorted(perm[v] for v in vertices) != vertices
-            or not all(isinstance(perm[v], int) for v in vertices)):
+    # sorted(perm) reads a dict's keys but a list's values: test the values
+    # too; keys or values that do not sort with ints are no bijection either
+    try:
+        bijection = (sorted(perm) == vertices
+                     and sorted(perm[v] for v in vertices) == vertices
+                     and all(isinstance(perm[v], int) for v in vertices))
+    except TypeError:
+        bijection = False
+    if not bijection:
         raise DomainError("perm is not a bijection on the vertex set")
     edges = [(perm[u], perm[v]) for u, v in g.edges]
     labels = {perm[v]: names for v, names in g.labels.items()}

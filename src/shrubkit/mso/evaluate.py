@@ -23,6 +23,19 @@ never cut.  Once every vertex is decided, phi runs exactly, and only that
 run gives the answer; formulas without set quantifiers run exactly
 throughout.
 
+A block outside every other quantifier, compiled with no assigned names and
+whose body names no missing relation and no unknown node, searches one
+assignment per orbit of the structure's twin swaps.  Two vertices are twins
+when swapping them fixes the adjacency rows, every relation's rows, self-pairs
+included, and every label mask; such a swap is an automorphism, and the body
+has only the block's sets free, so it fixes the body's truth.  Read as the
+mask of the block's sets it joins, vertex v's choice then goes no higher
+than its previous twin's, which leaves exactly the assignments that do not
+rise along any twin class, one per orbit, and a witness or counterexample
+exists exactly when such a one does.  The twin partition is built once per
+compile, for the first block that qualifies; any other block, nested ones
+among them, searches every choice.
+
 A first-order quantifier runs bit-parallel when its body holds only atoms,
 connectives and first-order quantifiers: the body compiles to a closure for
 the mask of the bound variable's values at which it holds.  `edge(x, y)`
@@ -66,6 +79,7 @@ the reverse.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import cache
 
 from ..errors import DomainError, ResourceLimitError, ValidationError
 from ..graph import Graph, _bits, adjacency_rows
@@ -98,11 +112,19 @@ DEFAULT_SET_QUANTIFIER_CAP = 3
 # the node kinds a first-order quantifier's body may hold to run on masks
 _FIRST_ORDER = (TrueConst, FalseConst, Edge, Eq, InSet, ModCount, HasLabel,
                 RelAtom, Not, And, Or, Implies, Iff, ExistsVertex, AllVertex)
+# the node kinds the evaluator knows
+_KNOWN = (*_FIRST_ORDER, ExistsSet, AllSet)
 # Not(m) is full exactly when m is zero, and non-zero exactly when m is not
 # full, so Not asks its body the other question
 _SWAP = {ExistsVertex: AllVertex, AllVertex: ExistsVertex}
 # the one test a cut-short side answers for the whole connective
 _KEEPS = {And: AllVertex, Or: ExistsVertex}
+
+
+def _swapped(row, u, v):
+    """row with its bits u and v exchanged."""
+    d = (row >> u ^ row >> v) & 1
+    return row ^ (d << u | d << v)
 
 
 def _guard(f):
@@ -217,17 +239,21 @@ def compile_formula(
     names=(),
     max_vertices=DEFAULT_VERTEX_CAP,
     max_set_quantifiers=DEFAULT_SET_QUANTIFIER_CAP,
+    *,
+    summary=None,
 ):
     """The formula compiled for `structure`, with the variables `names`
     assigned by each later `evaluate` call; the caps and the free variables
-    are checked here, once."""
+    are checked here, once.  summary is the formula's `formulas._summary`
+    when the caller holds it already, as an Interpretation does, and spares
+    a walk of the formula."""
     s = _as_structure(structure)
     n = s.n
     if n > max_vertices:
         raise ResourceLimitError(
             f"evaluation cap is {max_vertices} vertices, got {n}"
         )
-    free, _, _, rank, _ = _summary(formula)
+    free, _, _, rank, _ = summary or _summary(formula)
     if rank > max_set_quantifiers:
         raise ResourceLimitError(
             f"set quantifier nesting cap is {max_set_quantifiers}, got {rank}"
@@ -261,13 +287,29 @@ def compile_formula(
         """The rows an Edge or RelAtom reads, or None for a missing relation."""
         return rows if type(f) is Edge else relation_rows.get(f.rel)
 
-    def first_order(f):
-        """Whether f holds no set quantifier, missing relation or unknown
-        node, so that it runs on masks and cannot raise."""
+    def first_order(f, kinds=_FIRST_ORDER):
+        """Whether f holds only nodes of kinds and no missing relation; with
+        the default kinds, whether it runs on masks and cannot raise."""
         t = type(f)
-        if t not in _FIRST_ORDER or t is RelAtom and f.rel not in relation_rows:
+        if t not in kinds or t is RelAtom and f.rel not in relation_rows:
             return False
-        return all(first_order(getattr(f, part)) for part in f._PARTS)
+        return all(first_order(getattr(f, part), kinds) for part in f._PARTS)
+
+    @cache
+    def previous_twins():
+        """For each vertex v, the last vertex u before it whose swap with v
+        fixes the adjacency rows, every relation's rows and every label
+        mask, or None; built once, for the first block that asks."""
+        tables, masks = (rows, *relation_rows.values()), label_masks.values()
+
+        def twins(u, v):
+            return (all(_swapped(m, u, v) == m for m in masks)
+                    and all(_swapped(t[u], u, v) == t[v] for t in tables))
+
+        # swaps that fix the structure compose, so twins are an equivalence
+        # and the last one before v is in v's class
+        return [next((u for u in reversed(range(v)) if twins(u, v)), None)
+                for v in vertices]
 
     def compile_(f, scope, polarity=None, block=()):
         """A closure for f: its truth when polarity is None.  As a bound for
@@ -460,9 +502,14 @@ def compile_formula(
         """The search over a maximal run of like set quantifiers, deciding
         vertex v's membership in every set of the run at once, v = 0, 1, ...
         An ex2 run looks for a witness and an all2 run for a counterexample;
-        a branch is cut once the bound says no completion of it is one."""
+        a branch is cut once the bound says no completion of it is one.
+        Vertex v's choice is a mask with bit j set when v joins the run's
+        j-th set; choices go in ascending order, and in a run outside every
+        other quantifier whose body cannot raise, up to v's previous twin's
+        choice only (see the module docstring)."""
         t = type(f)
         want = t is ExistsSet
+        prune = not scope
         scope, slots = dict(scope), []
         while type(f) is t:
             # a name bound twice in the run is one set
@@ -477,18 +524,21 @@ def compile_formula(
         bound = compile_(f, scope, want, (*slots, undecided))
         choices = range(1 << len(slots))
         last, full = n - 1, (1 << n) - 1
+        twin = previous_twins() if prune and first_order(f, _KNOWN) else [None] * n
 
         def search():
             if not n:
                 return run()
-            # stack[v] yields the choices for vertex v not yet tried
-            stack = [iter(choices)]
+            # stack[v] yields the choices for vertex v not yet tried, and
+            # chosen[v] holds the one being tried
+            stack, chosen = [iter(choices)], [0] * n
             while stack:
                 v = len(stack) - 1
                 c = next(stack[v], None)
                 if c is None:
                     stack.pop()
                     continue
+                chosen[v] = c
                 bit = 1 << v
                 for j, slot in enumerate(slots):
                     env[slot] = env[slot] & (bit - 1) | (c >> j & 1) << v
@@ -498,7 +548,8 @@ def compile_formula(
                 else:
                     env[undecided] = full ^ ((bit << 1) - 1)
                     if bound() == want:
-                        stack.append(iter(choices))
+                        u = twin[v + 1]
+                        stack.append(iter(choices if u is None else range(chosen[u] + 1)))
             return not want
 
         return search

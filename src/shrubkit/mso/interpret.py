@@ -8,6 +8,8 @@ source and image agree on it.
 
 from __future__ import annotations
 
+from dataclasses import field
+
 from ..errors import DomainError, ValidationError
 from ..graph import Graph
 from ..values import value_class
@@ -25,8 +27,8 @@ from .formulas import (
     Not,
     Or,
     _rebuild,
+    _summary,
     all_var_names,
-    free_vars,
     fresh_name_pool,
     substitute_fo,
 )
@@ -48,19 +50,22 @@ class Interpretation:
     """domain_formula names who survives, edge_formula who gets joined.
 
     Variable roles default to the formulas' free variables (sorted), padded
-    from x, y when a formula uses fewer.
+    from x, y when a formula uses fewer.  Each formula is walked once, here:
+    its `_summary` is kept for `apply_interpretation` and `rewrite_formula`.
     """
 
     domain_formula: Formula
     edge_formula: Formula
     domain_var: str = None
     edge_vars: tuple = None
+    _facts: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         domain_var, edge_vars = self.domain_var, self.edge_vars
-        d_fo, d_set = free_vars(self.domain_formula)
-        e_fo, e_set = free_vars(self.edge_formula)
-        if d_set or e_set:
+        facts = _summary(self.domain_formula), _summary(self.edge_formula)
+        # only a set variable's name starts upper-case
+        d_fo, e_fo = facts[0][0], facts[1][0]
+        if any(name[0].isupper() for name in d_fo | e_fo):
             raise ValidationError(
                 "interpretation formulas may not have free set variables"
             )
@@ -82,6 +87,7 @@ class Interpretation:
             )
         object.__setattr__(self, "domain_var", domain_var)
         object.__setattr__(self, "edge_vars", edge_vars)
+        object.__setattr__(self, "_facts", facts)
 
 
 def apply_interpretation(interp, structure, **caps):
@@ -99,11 +105,13 @@ def apply_interpretation(interp, structure, **caps):
     domain = []
     if n:
         var = interp.domain_var
-        keep = compile_formula(structure, interp.domain_formula, (var,), **caps)
+        keep = compile_formula(structure, interp.domain_formula, (var,),
+                               summary=interp._facts[0], **caps)
         domain = [v for v in range(n) if evaluate(structure, keep, {var: v})]
     edges = []
     if len(domain) > 1:
-        join = compile_formula(structure, interp.edge_formula, (xv, yv), **caps)
+        join = compile_formula(structure, interp.edge_formula, (xv, yv),
+                               summary=interp._facts[1], **caps)
         for a in range(len(domain)):
             for b in range(a + 1, len(domain)):
                 u, v = domain[a], domain[b]
@@ -118,11 +126,7 @@ def rewrite_formula(interp, formula):
     """Sentence the source satisfies exactly when its image satisfies the
     input.  Edge atoms become the symmetrized edge formula (minus equal
     pairs), and every quantifier is relativized to the domain formula."""
-    taken = (
-        all_var_names(formula)
-        | all_var_names(interp.domain_formula)
-        | all_var_names(interp.edge_formula)
-    )
+    taken = all_var_names(formula) | interp._facts[0][1] | interp._facts[1][1]
     pool = fresh_name_pool(taken)
     xv, yv = interp.edge_vars
 

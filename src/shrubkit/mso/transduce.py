@@ -8,13 +8,14 @@ precondition) return None.
 
 from __future__ import annotations
 
+from dataclasses import field
 from itertools import combinations, product
 
 from ..errors import DomainError, ResourceLimitError, ValidationError
 from ..graph import Graph
 from ..values import value_class
-from .evaluate import RelStructure, evaluate
-from .formulas import Formula, TrueConst, free_vars
+from .evaluate import RelStructure, compile_formula, evaluate
+from .formulas import Formula, TrueConst, _summary
 from .interpret import Interpretation, apply_interpretation
 
 DEFAULT_IMAGE_VERTEX_CAP = 6
@@ -47,12 +48,15 @@ def k_copy(g, k):
 
 @value_class
 class Transduction:
-    """interpretation, precondition sentence, copy count, guessed labels."""
+    """interpretation, precondition sentence, copy count, guessed labels.
+    The precondition is walked once, here, and its `_summary` is kept for
+    every application."""
 
     interpretation: Interpretation
     precondition: Formula = None
     copies: int = 1
     predicates: tuple = ()
+    _facts: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         precondition = self.precondition
@@ -60,8 +64,8 @@ class Transduction:
             precondition = TrueConst()
         if not isinstance(precondition, Formula):
             raise ValidationError("precondition must be a formula")
-        fo, sets = free_vars(precondition)
-        if fo or sets:
+        facts = _summary(precondition)
+        if facts[0]:
             raise ValidationError("precondition must be a sentence")
         if not isinstance(self.interpretation, Interpretation):
             raise ValidationError("interpretation must be an Interpretation")
@@ -75,6 +79,7 @@ class Transduction:
                 raise ValidationError("predicate names must be non-empty")
         object.__setattr__(self, "precondition", precondition)
         object.__setattr__(self, "predicates", predicates)
+        object.__setattr__(self, "_facts", facts)
 
 
 def _expand(g, td, labeling):
@@ -96,7 +101,8 @@ def apply_transduction(td, g, labeling=None, **caps):
     """Image graph for one labeling, or None when the precondition fails."""
     expanded = _expand(g, td, labeling)
     copied = k_copy(expanded, td.copies)
-    if not evaluate(copied, td.precondition, **caps):
+    holds = compile_formula(copied, td.precondition, summary=td._facts, **caps)
+    if not evaluate(copied, holds):
         return None
     return apply_interpretation(td.interpretation, copied, **caps)[0]
 

@@ -5,6 +5,7 @@ import functools
 import importlib
 import itertools
 import pickle
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -139,6 +140,23 @@ RELATIVIZED_SENTENCES = [
     "all1 x. (x in X | all1 y. (y in X -> !edge(x, y)))",
 ]
 
+# blocks whose bodies read labels, the relation r with its self-pairs and
+# parities, and blocks under a first-order quantifier or inside another
+# block, which keep the search over every choice
+TWIN_SENTENCES = [
+    "ex2 X. (all1 x. (x in X <-> label_a(x)) & mod(1, 2, X))",
+    "ex2 X. ex2 Y. (all1 x. ((x in X <-> label_b(x)) & (x in Y <-> rel_r(x, x)))) "
+    "& (mod(0, 2, X) <-> mod(1, 2, Y))",
+    "all2 X. (all1 x. all1 y. ((x in X & rel_r(x, y)) -> y in X)) -> "
+    "(mod(0, 2, X) | ex1 x. (x in X & label_a(x)))",
+    "ex2 X. all1 x. all1 y. (rel_r(x, y) -> (x in X <-> !(y in X)))",
+    "ex2 X. (mod(1, 3, X) & all1 x. (x in X -> (label_a(x) | ex1 y. (rel_r(x, y) & !(y in X)))))",
+    "all1 x. ex2 X. (x in X & all1 y. (y in X -> y = x))",
+    "ex1 x. all2 X. (x in X -> (mod(1, 2, X) | ex1 y. (y in X & !(y = x) & edge(x, y))))",
+    "all2 X. ex2 Y. all1 y. (y in Y <-> !(y in X))",
+    "ex2 A. ex2 B. ex2 C. (mod(0, 2, A) <-> !mod(0, 2, A))",
+]
+
 FO_NAMES = ("x", "y", "z")
 SET_NAMES = ("X", "Y")
 
@@ -233,6 +251,43 @@ def relativized_formulas(draw):
         wrap = draw(st.sampled_from((AllSet, ExistsSet, Not)))
         phi = Not(phi) if wrap is Not else wrap(draw(_set), phi)
     return phi
+
+
+def planted_structure(data, n):
+    """A structure on n vertices with planted twin classes.  Each class is
+    a clique or an independent set, in the edges and in the relation r,
+    with a self-pair of r on every member or on none; two classes meet
+    completely or not at all in each; and a class's members share their
+    labels.  Up to two drawn flips of an edge, a pair of r or a label then
+    split classes, some in one part of the structure only, and the
+    vertices are shuffled, so that twins need not be consecutive."""
+    k = data.draw(st.integers(1, max(n, 1)))
+    cls = [data.draw(st.integers(0, k - 1)) for _ in range(n)]
+    between = [{pair: data.draw(st.booleans())
+                for pair in itertools.combinations_with_replacement(range(k), 2)}
+               for _ in range(2)]
+    loops = [data.draw(st.booleans()) for _ in range(k)]
+    names = [data.draw(st.sets(st.sampled_from(("a", "b")))) for _ in range(k)]
+    pairs = [{(u, v) for u, v in itertools.combinations(range(n), 2)
+              if part[min(cls[u], cls[v]), max(cls[u], cls[v])]} for part in between]
+    edges, near = pairs
+    near |= {(v, v) for v in range(n) if loops[cls[v]]}
+    labels = [set(names[c]) for c in cls]
+    vertex = st.integers(0, n - 1)
+    flips = data.draw(st.lists(st.tuples(st.sampled_from(("edge", "r", "a", "b")),
+                                         vertex, vertex), max_size=2)) if n else []
+    for kind, u, v in flips:
+        pair = {(min(u, v), max(u, v))}
+        if kind == "edge" and u != v:
+            edges ^= pair
+        elif kind == "r":
+            near ^= pair
+        elif kind in ("a", "b"):
+            labels[u] ^= {kind}
+    to = data.draw(st.permutations(range(n)))
+    graph = Graph(n, [(to[u], to[v]) for u, v in edges],
+                  {to[v]: labels[v] for v in range(n)})
+    return RelStructure(graph, {"r": [(to[u], to[v]) for u, v in near]})
 
 
 class Mystery(Formula):
@@ -724,6 +779,23 @@ class TestEvaluate:
             want = reference_evaluate(s, phi, fo, sets)
             assert evaluate(s, phi, {**fo, **sets}) == want, (s, format_formula(phi))
 
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_twin_pruned_blocks_agree_with_reference(self, data):
+        # a block outside every other quantifier tries one assignment per
+        # orbit of the swaps of twins.  Each structure is checked on every twin
+        # sentence and on one drawn from the other lists; the reference
+        # tries every set, so its 2^n sets per set quantifier bound n by the
+        # sentence's nesting
+        n = data.draw(st.integers(0, 8))
+        s = planted_structure(data, n)
+        other = data.draw(st.sampled_from([*BLOCK_SENTENCES.values(),
+                                           *RELATIVIZED_SENTENCES, *CORPUS]))
+        for text in [*TWIN_SENTENCES, other]:
+            phi = parse_formula(text)
+            if n <= (8, 8, 5, 4)[set_quantifier_rank(phi)]:
+                assert evaluate(s, phi) == reference_evaluate(s, phi), (s, text)
+
     def test_agrees_with_reference_on_every_graph_up_to_5_vertices(self):
         phis = [parse_formula(t) for t in
                 [*CORPUS, *BLOCK_SENTENCES.values(), *RELATIVIZED_SENTENCES]]
@@ -811,7 +883,10 @@ class TestEvaluate:
     def test_edge_tests_of_the_block_search_are_pinned(self, edge_tests, row_reads):
         # set quantifiers are decided vertex by vertex with cuts, so the
         # pairs read differ from the reference's 2^n loop; per sentence, the
-        # adjacency row reads summed over every graph on 1-4 vertices
+        # adjacency row reads summed over every graph on 1-4 vertices.  A
+        # block outside every other quantifier first reads the rows for its
+        # twin partition, 116 reads over these graphs; the block of 19 sits
+        # under all1 x, so it is searched unpruned and reads none of them
         graphs = [g for n in range(1, 5) for g in enumerate_graphs(n)]
         texts = {i: t for i, t in enumerate(CORPUS)
                  if set_quantifier_rank(parse_formula(t))}
@@ -825,35 +900,70 @@ class TestEvaluate:
             got[key] = row_reads[0]
         assert edge_tests[0] == 0
         assert got == {
-            8: 0, 9: 0, 10: 222, 11: 0, 12: 0, 13: 813, 16: 0, 17: 0, 19: 43,
-            "colourable_2": 635, "colourable_3": 560, "pairs_touch": 2178,
-            "connected": 611, "odd_kernel": 393,
+            8: 116, 9: 116, 10: 359, 11: 116, 12: 116, 13: 800, 16: 116, 17: 116,
+            19: 43, "colourable_2": 644, "colourable_3": 579, "pairs_touch": 1783,
+            "connected": 649, "odd_kernel": 500,
         }
 
     def test_colourable_3_on_k4_plus_a_tail(self, row_reads):
         phi = parse_formula(BLOCK_SENTENCES["colourable_3"])
         k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-        # K4 on 0-3 and a path 3-4-...-11: cut at vertex 3 of every branch
+        # K4 on 0-3 and a path 3-4-...-11: cut at vertex 3 of every branch,
+        # and 0, 1 and 2 are twins, so their choices never rise
         g = Graph(12, [*k4, *((v, v + 1) for v in range(3, 11))])
         assert not evaluate(g, phi)
-        assert row_reads[0] == 505
-        # a path 0-1-...-6 and K4 on 6-9: every colouring of the path is tried
+        assert row_reads[0] == 348
+        # a path 0-1-...-6 and K4 on 6-9: every colouring of the path is
+        # tried, but only the non-increasing choices for the twins 7, 8, 9
         row_reads[0] = 0
         g = Graph(10, [*((v, v + 1) for v in range(6)), *((a + 6, b + 6) for a, b in k4)])
         assert not evaluate(g, phi)
-        assert row_reads[0] == 297317
+        assert row_reads[0] == 157659
 
     def test_the_slowest_benchmark_sentences_are_pinned(self, row_reads):
         # the mso-logic benchmark's two slowest checks, as adjacency row reads
         phi = parse_formula(BLOCK_SENTENCES["odd_kernel"])
         k66 = Graph(12, [(a, 6 + b) for a in range(6) for b in range(6)])
         assert not evaluate(k66, phi)
-        assert row_reads[0] == 3750
+        assert row_reads[0] == 580
         row_reads[0] = 0
         phi = parse_formula(BLOCK_SENTENCES["colourable_3"])
         k4_pendant = Graph(5, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4)])
         assert not evaluate(k4_pendant, phi)
-        assert row_reads[0] == 330
+        assert row_reads[0] == 138
+
+    def test_twins_cut_a_sentence_that_fails_only_at_the_leaves(self):
+        # no bound cuts this body, so the search over every choice visits
+        # all 8^n leaves: about 36 h on 12 vertices.  The 12 vertices of the
+        # edgeless graph are twins, which leaves the C(19, 7) = 50,388
+        # non-increasing sequences of choices; P6 has no twins, so its
+        # 8^6 = 262,144 leaves all stay
+        phi = parse_formula("ex2 A. ex2 B. ex2 C. (mod(0, 2, A) <-> !mod(0, 2, A))")
+        start = time.perf_counter()
+        assert not evaluate(Graph(12), phi)
+        assert time.perf_counter() - start < 30
+        assert not evaluate(make_path(5), phi)
+
+    def test_nested_and_raising_blocks_search_every_choice(self, row_reads):
+        # a block under all1 x has x free, and a run that reaches a missing
+        # relation raises, so the leaves it reaches can be seen: both keep
+        # the search over every choice, and read no twin partition
+        k33 = Graph(6, [(a, 3 + b) for a in range(3) for b in range(3)])
+        phi = parse_formula(
+            "all1 x. ex2 X. ex2 Y. (x in X & all1 y. (y in X -> (y = x | edge(x, y))) "
+            "& mod(0, 2, X) & all1 y. (y in Y <-> !(y in X)) & mod(1, 2, Y))")
+        assert not evaluate(k33, phi)
+        assert row_reads[0] == 698
+        row_reads[0] = 0
+        s = RelStructure(k33, {"near": [(0, 0), (1, 1), (2, 2)]})
+        phi = parse_formula(
+            "ex2 X. ex2 Y. (all1 x. (x in X <-> !(x in Y))) "
+            "& (all1 x. all1 y. ((x in X & y in X) -> !edge(x, y))) "
+            "& (all1 x. all1 y. ((x in Y & y in Y) -> !edge(x, y))) "
+            "& ex1 x. (x in Y & rel_far(x, x))")
+        with pytest.raises(DomainError, match="no relation 'far'"):
+            evaluate(s, phi)
+        assert row_reads[0] == 469
 
     def test_missing_relation_raises_only_when_reached(self):
         s = RelStructure(make_path(2), {"near": [(0, 1)]})
@@ -926,17 +1036,23 @@ class TestEvaluate:
 
 class TestInterpretation:
     def test_each_formula_is_compiled_once(self, monkeypatch):
-        # the package re-exports the function `evaluate` under the module's name
-        evaluate_module = importlib.import_module("shrubkit.mso.evaluate")
-        ranked = []
-        summary = evaluate_module._summary
-        monkeypatch.setattr(evaluate_module, "_summary",
-                            lambda f: ranked.append(f) or summary(f))
+        # each formula is walked once, when the interpretation is built, and
+        # compiled once, with the facts of that walk; the package re-exports
+        # the function `evaluate` under the module's name, hence import_module
+        walked, compiled = [], []
+        for name in ("evaluate", "interpret"):
+            module = importlib.import_module(f"shrubkit.mso.{name}")
+            monkeypatch.setattr(module, "_summary",
+                                lambda f: walked.append(f) or formulas._summary(f))
+        interpret = importlib.import_module("shrubkit.mso.interpret")
+        compile_ = interpret.compile_formula
+        monkeypatch.setattr(interpret, "compile_formula",
+                            lambda s, f, *a, **k: compiled.append(f) or compile_(s, f, *a, **k))
         interp = Interpretation(parse_formula("ex1 y. edge(x, y)"),
                                 parse_formula("ex1 z. (edge(x, z) & edge(z, y))"))
         h, ids = apply_interpretation(interp, Graph(5, [(0, 1), (1, 2), (2, 3)]))
         assert ids == (0, 1, 2, 3) and h == Graph(4, [(0, 2), (1, 3)])
-        assert ranked == [interp.domain_formula, interp.edge_formula]
+        assert walked == compiled == [interp.domain_formula, interp.edge_formula]
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -1115,6 +1231,20 @@ class TestTransduction:
         labelings = [lab for lab, _ in images]
         assert {frozenset(lab["A"]) for lab in labelings} == {
             frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})}
+
+    def test_the_precondition_is_walked_once(self, monkeypatch):
+        # at construction, and not again for each labeling applied
+        ident = Interpretation(parse_formula("true"), parse_formula("edge(x, y)"))
+        walked = []
+        for name in ("evaluate", "transduce"):
+            module = importlib.import_module(f"shrubkit.mso.{name}")
+            monkeypatch.setattr(module, "_summary",
+                                lambda f: walked.append(f) or formulas._summary(f))
+        td = Transduction(ident, precondition=parse_formula("ex2 X. mod(1, 2, X)"),
+                          predicates=("A",))
+        images = [image for _, image in transduction_images(td, Graph(2))]
+        assert images == [Graph(2)] * 4
+        assert walked == [td.precondition]
 
     def test_enumeration_caps(self):
         ident = Interpretation(parse_formula("true"), parse_formula("edge(x, y)"))

@@ -65,6 +65,10 @@ REFUSALS = {
     "vertex-count-float": (ValidationError, lambda: Graph(2.5)),
     "edge-end-float": (ValidationError, lambda: Graph(2, [(0.0, 1)])),
     "label-vertex-str": (ValidationError, lambda: Graph(2, [], {"a": ["x"]})),
+    "edge-triple": (ValidationError, lambda: Graph(2, [(0, 1, 2)])),
+    "edge-not-pair": (ValidationError, lambda: Graph(2, [5])),
+    "label-names-int": (ValidationError, lambda: Graph(2, [], {0: 5})),
+    "relabel-key-str": (DomainError, lambda: relabel_graph(P3, {0: 0, "a": 1, 2: 2})),
     "complement-str": (DomainError, lambda: complement_on_subset(P3, ["a"])),
     "induced-float": (DomainError, lambda: induced_subgraph(P3, [1.5])),
     "relabel-float": (DomainError,
